@@ -15,8 +15,8 @@ from .errors import (BudgetExceededError, ConfigError, CountMismatchError,
                      WindowError)
 from .families import (LogBump, LogGaussian, ParityFunction, ScaledPower,
                        Shifted, TestFunction, apply_J, cmul, derivation,
-                       gaussian_even, gaussian_odd, mult_convolve,
-                       power_weight, reflect, scale, tau, weighted_norm_sq)
+                       gaussian_even, gaussian_odd, power_weight, reflect,
+                       scale, tau)
 from .grids import QuadratureSpec, cinf_step
 from .transforms import (MellinValue, ShiftedProfile, fourier,
                          fourier_quadrature, haar_real_cross, mellin,
@@ -27,9 +27,9 @@ from .special import (CompletedZetaValue, EULER_GAMMA, digamma, gamma,
 from .zeros import ZeroTable, find_zeros, load_zeros, save_zeros
 from .operators import (DirichletCharacter, TruncationSpec, apply_L_chi,
                         apply_Z, apply_Z_inverse, character, characters,
-                        euler_product_Z, mobius_up_to, poisson_check,
-                        primes_up_to, primitive_characters,
-                        twisted_poisson_check, zspectral_check)
+                        mobius_up_to, poisson_check, primes_up_to,
+                        primitive_characters, twisted_poisson_check,
+                        zspectral_check)
 from .explicit import (ExplicitFormulaReport, W_infty, W_p, W_prime_total,
                        archimedean_constant, pv_regularised, spectral_parts,
                        spectral_side, verify_explicit_formula)

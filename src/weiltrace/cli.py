@@ -5,7 +5,8 @@ their error estimates, wall time) to ``--out`` or stdout.  Exit status:
 
 * 0 — all residuals within their declared tolerances
 * 1 — tolerance failure
-* 2 — configuration error (bad flags, unreadable files, bad expressions)
+* 2 — configuration error (bad flags, unreadable files, bad expressions,
+  out-of-range values)
 * 3 — numerical-certification failure (tail or window could not certify)
 
 A plain-text config file of ``key = value`` lines may be supplied with
@@ -322,7 +323,8 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
     try:
         outputs, ok = _HANDLERS[cfg.command](cfg)
         status = EXIT_OK if ok else EXIT_TOLERANCE
-    except (ConfigError, TableParseError, PoleError, DomainError) as exc:
+    except (ConfigError, TableParseError, PoleError, DomainError,
+            ValueError) as exc:
         outputs, ok = {"error": str(exc),
                        "error_type": type(exc).__name__}, False
         status = EXIT_CONFIG

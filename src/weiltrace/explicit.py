@@ -11,9 +11,8 @@ W_inf is computed by two genuinely different routes:
   * duality: -<F(ln|x|), psi> with psi(y) = f(|1-y|), through the
     regularised pairing in the transforms module (primary);
   * subtracted principal value: the symmetric-cut limit of
-    integral f(x) (|1-x|^{-1} + (1+x)^{-1}) dx plus c_inf f(1), where
-    the constant c_inf is measured once against the duality route on a
-    fixed reference function and then transferred (secondary).
+    integral f(x) (|1-x|^{-1} + (1+x)^{-1}) dx plus c_inf f(1), with
+    the closed-form constant c_inf = ln(2 pi) + gamma (secondary).
 Their disagreement is monitored and fed into the error budget.
 """
 
@@ -25,21 +24,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceededError, DisagreementError
-from .families import LogGaussian, TestFunction
-from .grids import QuadratureSpec, trapezoid
+from .families import TestFunction
+from .grids import QuadratureSpec, trapezoid, trapezoid_with_coarse
 from .operators import TruncationSpec, primes_up_to
+from .special import EULER_GAMMA
 from .transforms import ShiftedProfile, mellin, pair_log_fourier
 from .zeros import ZeroTable
 
 
 def _mellin_value(f, s: complex, q: QuadratureSpec | None = None) -> complex:
-    closed = getattr(f, "mellin_closed", None)
-    if closed is not None:
-        try:
-            return complex(closed(s))
-        except NotImplementedError:
-            pass
-    return mellin(f, s, q).value
+    closed = f.mellin_closed(s) if isinstance(f, TestFunction) else None
+    return mellin(f, s, q).value if closed is None else complex(closed)
 
 
 def W_p(f, p: int, tr: TruncationSpec | None = None) -> float:
@@ -93,17 +88,14 @@ def pv_regularised(f, *, n_inner: int = 8193, n_outer: int = 6001) -> float:
     where f~ is the even extension of f; computed in the subtracted
     form (no explicit eps), with one Richardson step on the inner
     trapezoid so the quadrature error is O(h^4)."""
-    def inner(n):
-        t = np.linspace(0.0, 1.0, n)
-        vals = np.empty_like(t)
-        vals[0] = 0.0
-        tm = t[1:]
-        vals[1:] = (f(np.maximum(1.0 - tm, 1e-300)) + f(1.0 + tm)
-                    - 2.0 * f(1.0)) / tm
-        return float(trapezoid(vals, t[1] - t[0]))
-
-    fine, coarse = inner(n_inner), inner((n_inner + 1) // 2)
-    inner_val = fine + (fine - coarse) / 3.0
+    t = np.linspace(0.0, 1.0, n_inner)
+    vals = np.empty_like(t)
+    vals[0] = 0.0
+    tm = t[1:]
+    vals[1:] = (f(np.maximum(1.0 - tm, 1e-300)) + f(1.0 + tm)
+                - 2.0 * f(1.0)) / tm
+    fine, coarse = trapezoid_with_coarse(vals, t[1] - t[0])
+    inner_val = float(fine) + (float(fine) - float(coarse)) / 3.0
     u = np.linspace(0.0, 60.0, n_outer)
     t = np.exp(u)
     outer_vals = f(1.0 + t) + np.where(t > 1.0, f(np.maximum(t - 1.0, 1e-300)), 0.0)
@@ -111,34 +103,24 @@ def pv_regularised(f, *, n_inner: int = 8193, n_outer: int = 6001) -> float:
     return inner_val + outer_val
 
 
-_REFERENCE = LogGaussian(1.0, 0.0, 1.0)
-_C_INF_CACHE: dict[str, float] = {}
-
-
 def archimedean_constant() -> float:
-    """The measured constant c_inf in the secondary route
-    W_inf(f) = (1/2) pv_regularised(f) + c_inf f(1): calibrated once on
-    a fixed reference function against the duality route and cached."""
-    if "c_inf" not in _C_INF_CACHE:
-        duality = -pair_log_fourier(ShiftedProfile(_REFERENCE))
-        _C_INF_CACHE["c_inf"] = duality \
-            - 0.5 * pv_regularised(_REFERENCE)
-    return _C_INF_CACHE["c_inf"]
+    """The constant c_inf = ln(2 pi) + gamma of the secondary route
+    W_inf(f) = (1/2) pv_regularised(f) + c_inf f(1)."""
+    return math.log(2.0 * math.pi) + EULER_GAMMA
 
 
 def W_infty(f, *, cross_check_tol: float = 1e-5,
             ) -> tuple[float, float, float]:
     """Archimedean term by the duality route, cross-checked against the
-    calibrated principal-value route.
+    principal-value route.
 
     Returns (value, quadrature_error_estimate, route_disagreement);
     raises DisagreementError when the two routes differ by more than
     cross_check_tol (scaled by the size of the value).
     """
     psi = ShiftedProfile(f)
-    value = -pair_log_fourier(psi)
-    half = -pair_log_fourier(psi, n_points=2001)
-    est = abs(value - half)
+    pairing, est = pair_log_fourier(psi)
+    value = -pairing
     secondary = 0.5 * pv_regularised(f) + archimedean_constant() * f(1.0)
     disagreement = abs(value - secondary)
     if disagreement > cross_check_tol * max(1.0, abs(value)):

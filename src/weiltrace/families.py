@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .grids import QuadratureSpec, integrate_log_grid
 
 
 class TestFunction:
@@ -227,38 +226,6 @@ def derivation(f: TestFunction):
     def df(x):
         return f(x) * np.log(np.asarray(x, dtype=float))
     return df
-
-
-def mult_convolve(f: TestFunction, g: TestFunction, x: float,
-                  q: QuadratureSpec | None = None) -> float:
-    """(f * g)(x) = int f(t) g(x/t) d×t by log-grid quadrature."""
-    if q is None:
-        q = QuadratureSpec()
-    if not x > 0:
-        raise DomainError("convolution evaluated at x > 0 only")
-    val, _ = integrate_log_grid(lambda t: f(t) * g(x / t), q)
-    return float(np.real(val))
-
-
-def weighted_norm_sq(f: TestFunction, m: int, s: float,
-                     q: QuadratureSpec | None = None) -> float:
-    """Diagnostic Sobolev-type norm int |D^m f|^2 x^{2s} d×x, D = x d/dx.
-
-    D is d/du in log coordinates; the derivative is taken spectrally on
-    the quadrature grid via finite differences of high order (the family
-    members are smooth and rapidly decaying, so this is adequate for a
-    diagnostic).
-    """
-    if q is None:
-        q = QuadratureSpec()
-    u = q.u_grid()
-    h = u[1] - u[0]
-    vals = f(np.exp(u))
-    for _ in range(m):
-        vals = np.gradient(vals, h, edge_order=2)
-    integrand = np.abs(vals) ** 2 * np.exp(2.0 * s * u)
-    return float((integrand[1:-1].sum() + 0.5 * (integrand[0]
-                                                 + integrand[-1])) * h)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
-"""Quadrature specifications and trapezoid rules on logarithmic grids.
+"""Quadrature specifications and the one trapezoid rule with its error
+estimate.
 
 All integrals over the multiplicative half-line use the Haar measure
 d×x = dx/x, which becomes Lebesgue measure du under u = ln x.  For smooth
 integrands that decay rapidly at both window ends the uniform trapezoid
 rule converges faster than any power of the spacing, so it is the default
-everywhere; refinement-based error estimates keep it honest.
+everywhere.  Every integral that carries an error estimate goes through
+one primitive, ``trapezoid_with_coarse``: on a grid with an odd number of
+points it returns the trapezoid value together with the trapezoid over
+every other sample of the same array, so the estimate costs no second
+evaluation of the integrand.
 """
 
 from __future__ import annotations
@@ -13,12 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ToleranceError
-
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Log-coordinate window [u_min, u_max] with n_points and a tolerance."""
+    """Log-coordinate window [u_min, u_max] with n_points (odd, so the
+    every-other-point subgrid spans the same window) and a tolerance."""
 
     u_min: float = -40.0
     u_max: float = 40.0
@@ -30,19 +34,13 @@ class QuadratureSpec:
             raise ValueError("u_min must be < u_max")
         if self.n_points < 16:
             raise ValueError("n_points must be at least 16")
+        if self.n_points % 2 == 0:
+            raise ValueError("n_points must be odd")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
 
     def u_grid(self) -> np.ndarray:
         return np.linspace(self.u_min, self.u_max, self.n_points)
-
-    def x_grid(self) -> np.ndarray:
-        return np.exp(self.u_grid())
-
-    def halved(self) -> "QuadratureSpec":
-        """Same window at roughly half the resolution (for error estimates)."""
-        n = max(16, (self.n_points + 1) // 2)
-        return QuadratureSpec(self.u_min, self.u_max, n, self.tolerance)
 
 
 def trapezoid(values: np.ndarray, spacing: float) -> complex:
@@ -52,46 +50,20 @@ def trapezoid(values: np.ndarray, spacing: float) -> complex:
     return (inner + 0.5 * (v[0] + v[-1])) * spacing
 
 
-def integrate_log_grid(func, q: QuadratureSpec, *, check: bool = True):
-    """Integrate func(x) d×x over the window of q by trapezoid in u = ln x.
+def trapezoid_with_coarse(values: np.ndarray, spacing: float):
+    """(trapezoid value, half-resolution trapezoid value) of samples on a
+    uniform grid with an odd number of points.
 
-    func must accept a numpy array of positive x.  With check=True the
-    result is compared against a half-resolution pass; the difference is
-    the error estimate and a ToleranceError is raised if it exceeds
-    q.tolerance.  Returns (value, est_error).
+    The second value is the trapezoid over every other sample, i.e. over
+    the (n + 1) // 2-point grid of the same window; the difference of
+    the two is the error estimate, and (4 fine - coarse) / 3 is one
+    Richardson step.
     """
-    u = q.u_grid()
-    h = u[1] - u[0]
-    full = trapezoid(func(np.exp(u)), h)
-    if not check:
-        return full, 0.0
-    uc = q.halved().u_grid()
-    coarse = trapezoid(func(np.exp(uc)), uc[1] - uc[0])
-    est = abs(full - coarse)
-    if est > q.tolerance:
-        raise ToleranceError(
-            f"quadrature error estimate {est:.3e} exceeds tolerance "
-            f"{q.tolerance:.3e} on window [{q.u_min}, {q.u_max}]")
-    return full, est
-
-
-def integrate_line(func, lo: float, hi: float, n: int, *,
-                   tolerance: float | None = None):
-    """Trapezoid on a uniform linear grid over [lo, hi].
-
-    Returns (value, est_error); est_error from a half-resolution pass.
-    Raises ToleranceError when a tolerance is given and not met.
-    """
-    t = np.linspace(lo, hi, n)
-    full = trapezoid(func(t), t[1] - t[0])
-    tc = np.linspace(lo, hi, max(16, (n + 1) // 2))
-    coarse = trapezoid(func(tc), tc[1] - tc[0])
-    est = abs(full - coarse)
-    if tolerance is not None and est > tolerance:
-        raise ToleranceError(
-            f"quadrature error estimate {est:.3e} exceeds tolerance "
-            f"{tolerance:.3e} on [{lo}, {hi}]")
-    return full, est
+    v = np.asarray(values)
+    if v.shape[0] % 2 == 0:
+        raise ValueError(
+            f"need an odd number of grid points, got {v.shape[0]}")
+    return trapezoid(v, spacing), trapezoid(v[::2], 2.0 * spacing)
 
 
 def cinf_step(t):

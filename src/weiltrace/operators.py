@@ -1,8 +1,7 @@
 """Summation operators over dilated lattices and their Dirichlet twists.
 
 The central object is Z f(x) = sum_{n >= 1} f(n x), with inverse
-Z^{-1} f(x) = sum mu(n) f(n x), the Euler-product route through
-p-smooth indices, and the character-twisted version
+Z^{-1} f(x) = sum mu(n) f(n x), and the character-twisted version
 L_chi f(x) = sum chi(n) f(n x).  All truncations are certified: a sum
 is only reported when the neglected tail is provably below the
 requested tolerance, otherwise TailBoundError is raised.
@@ -67,26 +66,6 @@ def mobius_up_to(n: int) -> np.ndarray:
             if sq <= n:
                 mu[sq::sq] = 0
     return mu
-
-
-def smooth_numbers(p_max: int, bound: int) -> np.ndarray:
-    """Sorted p_max-smooth integers in [1, bound] (all prime factors
-    <= p_max)."""
-    vals = [1]
-    for p in primes_up_to(p_max):
-        vals = [v * q for v in vals for q in _prime_powers(p, bound // v)
-                if True]
-        vals = [v for v in vals if v <= bound]
-    return np.array(sorted(vals), dtype=np.int64)
-
-
-def _prime_powers(p: int, cap: int) -> list[int]:
-    out = [1]
-    q = p
-    while q <= cap:
-        out.append(q)
-        q *= p
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -420,39 +399,6 @@ def z_image(f, tr: TruncationSpec | None = None, *,
         return out if np.any(out.imag) else out.real
 
     return image
-
-
-def euler_product_Z(f, x: float, tr: TruncationSpec | None = None, *,
-                    inverse: bool = False) -> complex:
-    """Z f(x) restricted to p_max-smooth indices, evaluated through the
-    Euler factorisation as a depth-first product over primes of
-    (sum_{e <= e_max} lambda_{p^e}); with inverse=True the factors are
-    (1 - lambda_p), reproducing the Moebius signs.
-
-    Note this is the smooth part only: indices with a prime factor
-    above p_max are genuinely absent, so agreement with apply_Z is
-    limited by f at the first non-smooth index, not by the tail
-    tolerance.
-    """
-    tr = tr or TruncationSpec()
-    n_cap = _term_cap(f, x, tr)
-    items: list[tuple[int, float]] = [(1, 1.0)]
-    for p in primes_up_to(min(tr.p_max, n_cap)):
-        grown = []
-        for m, sign in items:
-            q = m * p
-            e = 1
-            while q <= n_cap and e <= tr.e_max:
-                grown.append((q, -sign if inverse else sign))
-                if inverse:
-                    break
-                q *= p
-                e += 1
-        items.extend(grown)
-    idx = np.array([m for m, _ in items], dtype=float)
-    sgn = np.array([s for _, s in items])
-    vals = np.asarray(f(idx * x), dtype=complex)
-    return complex(np.sum(sgn * vals))
 
 
 def apply_L_chi(chi: DirichletCharacter, f, x: float,

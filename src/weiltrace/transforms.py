@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import DivergentIntegralError, WindowError
 from .families import ParityFunction, TestFunction
-from .grids import QuadratureSpec, cinf_step, trapezoid
+from .grids import (QuadratureSpec, cinf_step, trapezoid,
+                    trapezoid_with_coarse)
 
 
 def fourier(f: ParityFunction) -> ParityFunction:
@@ -84,9 +85,9 @@ def mellin(f: TestFunction, s: complex, q: QuadratureSpec | None = None,
     u = q.u_grid()
     h = u[1] - u[0]
     vals = np.asarray(f(np.exp(u)), dtype=complex) * np.exp(s * u)
-    value = complex(trapezoid(vals, h))
-    coarse = complex(trapezoid(vals[::2], 2.0 * h))
-    est = abs(value - coarse)
+    fine, coarse = trapezoid_with_coarse(vals, h)
+    value = complex(fine)
+    est = abs(value - complex(coarse))
     scale = float(np.max(np.abs(vals))) or 1.0
     edge = max(abs(vals[0]), abs(vals[-1]))
     if edge > 1e-13 * scale:
@@ -118,9 +119,9 @@ def mellin_parity(f: ParityFunction, s: complex,
     h = u[1] - u[0]
     x = np.exp(u)
     vals = np.asarray(f(x), dtype=complex) * np.exp(s * u)
-    value = complex(trapezoid(vals, h))
-    coarse = complex(trapezoid(vals[::2], 2.0 * h))
-    est = abs(value - coarse)
+    fine, coarse = trapezoid_with_coarse(vals, h)
+    value = complex(fine)
+    est = abs(value - complex(coarse))
     # Analytic tail over (0, x0): expand exp(-a pi x^2) and integrate
     # monomials; converges fast since x0 = e^{u_min} is tiny.
     x0 = float(np.exp(q.u_min))
@@ -165,9 +166,10 @@ class ShiftedProfile:
 
 
 def _integral_with_log_weight(g, x_max: float, *, v_min: float = -35.0,
-                              n_points: int = 4001) -> complex:
+                              n_points: int = 4001):
     """integral_R ln|x| g(x) dx for g decaying to negligible size by
-    |x| = x_max.
+    |x| = x_max, as the (value, coarse value) pair of
+    trapezoid_with_coarse.
 
     Folded to (0, inf) and substituted x = e^v; the integrand
     v e^v (g(e^v) + g(-e^v)) vanishes at both ends, so plain trapezoid
@@ -179,7 +181,7 @@ def _integral_with_log_weight(g, x_max: float, *, v_min: float = -35.0,
     x = np.exp(v)
     vals = v * x * (np.asarray(g(x), dtype=complex)
                     + np.asarray(g(-x), dtype=complex))
-    return complex(trapezoid(vals, h))
+    return trapezoid_with_coarse(vals, h)
 
 
 def haar_real_cross(psi, *, x_max: float = 200.0, v_min: float = -35.0,
@@ -197,8 +199,12 @@ def haar_real_cross(psi, *, x_max: float = 200.0, v_min: float = -35.0,
 
 
 def pair_log_fourier(psi, *, x_max: float | None = None,
-                     n_points: int = 4001) -> float:
+                     n_points: int = 4001) -> tuple[float, float]:
     """Duality pairing <F(ln|x|), psi> = integral ln|x| (F psi)(x) dx.
+
+    Returns (value, est_error), where est_error is the change of the
+    value when the log-weight integral uses every other of its n_points
+    (odd) samples.
 
     For Gaussian-polynomial psi the closed-form Fourier transform is
     used (it is itself validated against quadrature in the test suite),
@@ -216,14 +222,14 @@ def pair_log_fourier(psi, *, x_max: float | None = None,
     if isinstance(psi, ParityFunction):
         if psi.parity == -1:
             # Pairing of an even distribution with an odd function.
-            return 0.0
+            return 0.0, 0.0
         fpsi = fourier(psi)
         if x_max is None:
             x_max = math.sqrt(48.0 * max(a for _, _, a in psi.terms) / math.pi) + 4.0
-        val = _integral_with_log_weight(fpsi, x_max, n_points=n_points)
+        val, coarse = _integral_with_log_weight(fpsi, x_max, n_points=n_points)
         if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
             raise WindowError(f"pairing has imaginary residue {val.imag:.3e}")
-        return float(val.real)
+        return float(val.real), abs(float(val.real) - float(coarse.real))
 
     if isinstance(psi, ShiftedProfile):
         return _pair_log_fourier_profile(psi, n_points=n_points)
@@ -232,7 +238,7 @@ def pair_log_fourier(psi, *, x_max: float | None = None,
 
 def _pair_log_fourier_profile(psi: ShiftedProfile, *, inner: float = 2.0,
                               outer: float = 6.0, n_points: int = 4001,
-                              x_max: float = 60.0) -> float:
+                              x_max: float = 60.0) -> tuple[float, float]:
     """Near/far split pairing for a ShiftedProfile; see pair_log_fourier."""
     def cutoff(y):
         # 1 on [-inner, inner], 0 outside [-outer, outer], C-infinity.
@@ -252,7 +258,7 @@ def _pair_log_fourier_profile(psi: ShiftedProfile, *, inner: float = 2.0,
             out[i:i + 512] = phase @ near_vals * hy
         return out
 
-    near = _integral_with_log_weight(f_near, x_max, n_points=n_points)
+    near, coarse = _integral_with_log_weight(f_near, x_max, n_points=n_points)
     if abs(near.imag) > 1e-8 * max(1.0, abs(near.real)):
         raise WindowError(f"near pairing imaginary residue {near.imag:.3e}")
 
@@ -266,4 +272,5 @@ def _pair_log_fourier_profile(psi: ShiftedProfile, *, inner: float = 2.0,
     fv = (psi.f(1.0 + t) + psi.f(np.maximum(t - 1.0, 1e-300))
           * (t > 1.0 + 1e-12)) * weight
     far = -0.5 * float(trapezoid(fv, hu))
-    return float(near.real) + far
+    value = float(near.real) + far
+    return value, abs(value - (float(coarse.real) + far))

@@ -5,7 +5,7 @@ import pytest
 
 from weiltrace import ExpressionError, LogBump, LogGaussian, parse_function
 from weiltrace.cli import main
-from weiltrace.exprs import format_function
+from weiltrace.exprs import _BUILTINS, _CONSTRUCTORS, format_function
 
 
 # ---------------------------------------------------------------------------
@@ -153,3 +153,27 @@ def test_cli_auto_zero_cache(tmp_path, monkeypatch):
                      "--primes", "2000")
     assert status == 0
     assert cache.stat().st_mtime_ns == before
+
+
+@pytest.mark.parametrize("expr", [f"{name}()" for name in _CONSTRUCTORS]
+                         + sorted(_BUILTINS))
+def test_cli_verify_every_parsable_function(tmp_path, monkeypatch, expr):
+    monkeypatch.setenv("WEILTRACE_CACHE", str(tmp_path))
+    status, report = _run(tmp_path, "verify-explicit-formula",
+                          "--f", expr, "--zeros", "auto:60")
+    assert status in (0, 1, 2, 3)
+    assert report["command"] == "verify-explicit-formula"
+    assert "outputs" in report
+
+
+@pytest.mark.parametrize("argv", [
+    ("zeros", "--max-height", "150"),
+    ("check-trace-lemma", "--f0", "loggauss(1,0,0.7)",
+     "--f1", "loggauss(1,0.3,0.9)", "--n", "8"),
+    ("lchi", "--modulus", "4", "--index", "9", "--s", "2,0"),
+    ("check-zspectral", "--f", "loggauss(1,0,1)", "--s", "0.5,0"),
+])
+def test_cli_out_of_range_value_is_config_error(tmp_path, argv):
+    status, report = _run(tmp_path, *argv)
+    assert status == 2
+    assert report["outputs"]["error_type"] == "ValueError"

@@ -33,10 +33,8 @@ def test_W_prime_total_tail_honest():
 
 
 def test_archimedean_constant():
-    # gamma + ln(2 pi), measured (not hard-coded) from the reference
-    # function; quadrature leaves ~1e-6
     assert archimedean_constant() == pytest.approx(
-        EULER_GAMMA + math.log(2 * math.pi), abs=5e-6)
+        EULER_GAMMA + math.log(2 * math.pi), abs=1e-15)
 
 
 def test_pv_regularised_symmetry():

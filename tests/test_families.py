@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weiltrace import (LogBump, LogGaussian, ParityFunction, apply_J, cmul,
-                       gaussian_even, gaussian_odd, mult_convolve,
-                       power_weight, reflect, scale, tau, weighted_norm_sq)
+                       gaussian_even, gaussian_odd, power_weight, reflect,
+                       scale, tau)
 
 positive = st.floats(min_value=0.05, max_value=20.0)
 
@@ -74,19 +74,6 @@ def test_reflect_and_power_weight():
 def test_tau_is_value_at_one():
     f = LogGaussian(2.0, 0.0, 1.0)
     assert tau(f) == pytest.approx(2.0, rel=1e-12)
-
-
-def test_mult_convolve_commutes():
-    f = LogGaussian(1.0, 0.2, 0.7)
-    g = LogGaussian(1.0, -0.3, 1.1)
-    a = mult_convolve(f, g, 1.5)
-    b = mult_convolve(g, f, 1.5)
-    assert a == pytest.approx(b, rel=1e-10)
-
-
-def test_weighted_norm_positive():
-    f = LogGaussian(1.0, 0.0, 1.0)
-    assert weighted_norm_sq(f, 0, 0.5) > 0.0
 
 
 # ---------------------------------------------------------------------------

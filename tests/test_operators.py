@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from weiltrace import (LogGaussian, NonPrimitiveCharacterError,
                        ParityMismatchError, TruncationSpec, apply_L_chi,
                        apply_Z, apply_Z_inverse, character, characters,
-                       euler_product_Z, gaussian_even, gaussian_odd,
-                       mobius_up_to, poisson_check, primes_up_to,
+                       gaussian_even, gaussian_odd, mobius_up_to, poisson_check, primes_up_to,
                        primitive_characters, scale, twisted_poisson_check,
                        zeta, zspectral_check)
-from weiltrace.operators import smooth_numbers, z_image
+from weiltrace.operators import z_image
 
 
 def test_primes_up_to():
@@ -27,11 +26,6 @@ def test_mobius_up_to():
     expect = [1, -1, -1, 0, -1, 1, -1, 0, 0, 1,
               -1, 0, -1, 1, 1, 0, -1, 0, -1, 0]
     assert list(mu[1:21]) == expect
-
-
-def test_smooth_numbers():
-    sm = smooth_numbers(3, 50)
-    assert list(sm) == [1, 2, 3, 4, 6, 8, 9, 12, 16, 18, 24, 27, 32, 36, 48]
 
 
 def test_apply_Z_against_direct_sum():
@@ -60,32 +54,6 @@ def test_mobius_inversion_both_ways():
         zif = z_image(f, tr, inverse=True)
         assert apply_Z(zif, x, tr) == pytest.approx(f(x), abs=1e-10)
 
-
-def test_euler_product_matches_smooth_sum():
-    f = LogGaussian(1.0, 0.0, 1.0)
-    tr = TruncationSpec(p_max=100)
-    for x in (0.8, 1.5):
-        got = euler_product_Z(f, x, tr)
-        sm = smooth_numbers(100, 2_000_000).astype(float)
-        expect = float(np.sum(f(sm * x)))
-        assert got == pytest.approx(expect, abs=1e-11)
-
-
-def test_euler_product_inverse_squarefree():
-    f = LogGaussian(1.0, 0.0, 1.0)
-    tr = TruncationSpec(p_max=1000)
-    x = 1.3
-    got = euler_product_Z(f, x, tr, inverse=True)
-    mu = mobius_up_to(100000).astype(float)
-    n = np.arange(0, 100001, dtype=float)
-    expect = float(np.sum(mu[1:] * np.asarray(f(n[1:] * x))))
-    # difference only from non-1000-smooth squarefree indices, tiny here
-    assert got == pytest.approx(expect, abs=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# Dirichlet characters
-# ---------------------------------------------------------------------------
 
 def test_character_group_sizes():
     for d, n in ((3, 2), (4, 2), (5, 4), (7, 6), (8, 4), (12, 4)):

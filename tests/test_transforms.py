@@ -10,6 +10,7 @@ from weiltrace import (LogGaussian, ParityFunction, ShiftedProfile,
                        gaussian_even, gaussian_odd, haar_real_cross, mellin,
                        mellin_parity, pair_log_fourier, DivergentIntegralError,
                        QuadratureSpec)
+from weiltrace.grids import trapezoid_with_coarse
 
 GRID = np.linspace(-4.0, 4.0, 81)
 
@@ -74,6 +75,27 @@ def test_mellin_window_error():
         mellin(f, 3.0, QuadratureSpec(u_min=-5, u_max=5, n_points=201))
 
 
+def test_mellin_estimate_is_the_half_grid_trapezoid():
+    # the estimate taken from every other sample equals a separate pass
+    # on the (n + 1) // 2-point grid of the same window, up to the
+    # rounding of the spacing u[1] - u[0] that each pass computes
+    f = LogGaussian(1.0, 0.3, 0.9)
+    s = complex(0.5, 3.0)
+    fine = mellin(f, s, QuadratureSpec(n_points=4001))
+    coarse = mellin(f, s, QuadratureSpec(n_points=2001))
+    assert abs(fine.est_error - abs(fine.value - coarse.value)) \
+        <= 1e-12 * abs(coarse.value)
+
+
+def test_even_point_count_rejected():
+    with pytest.raises(ValueError):
+        QuadratureSpec(n_points=4000)
+    with pytest.raises(ValueError):
+        trapezoid_with_coarse(np.ones(10), 0.1)
+    with pytest.raises(ValueError):
+        pair_log_fourier(gaussian_even(), n_points=4000)
+
+
 def test_mellin_parity_gauss2():
     # integral_0^inf 2 e^{-pi x^2} x^{s-1} dx = pi^{-s/2} Gamma(s/2)
     g = gaussian_even()
@@ -104,25 +126,34 @@ def test_pair_log_fourier_known_values():
     # per the classical Gaussian log-moment; frozen from the identity
     # integral ln|x| 2e^{-pi x^2} dx = -(gamma + ln 4pi)/2 ... value below
     # is the quadrature oracle.
-    val = pair_log_fourier(gaussian_even())
+    val, est = pair_log_fourier(gaussian_even())
     expect = -(0.5772156649015328606 + math.log(4 * math.pi))
     assert val == pytest.approx(expect, abs=1e-8)
+    assert est < 1e-8
     # psi = y^2 exp(-pi y^2): pairing equals -1/(2 pi)
     psi = ParityFunction(+1, ((1.0, 2, 1.0),))
-    assert pair_log_fourier(psi) == pytest.approx(-1.0 / (2 * math.pi),
-                                                  abs=1e-8)
+    assert pair_log_fourier(psi)[0] == pytest.approx(-1.0 / (2 * math.pi),
+                                                     abs=1e-8)
 
 
 def test_pair_log_fourier_odd_is_zero():
-    assert pair_log_fourier(gaussian_odd()) == 0.0
+    assert pair_log_fourier(gaussian_odd()) == (0.0, 0.0)
+
+
+def test_profile_pairing_estimate_is_the_half_grid_pass():
+    psi = ShiftedProfile(LogGaussian(1.0, -0.5, 1.0))
+    value, est = pair_log_fourier(psi, n_points=4001)
+    coarse, _ = pair_log_fourier(psi, n_points=2001)
+    assert est > 1e-6
+    assert abs(est - abs(value - coarse)) <= 1e-12 * abs(value)
 
 
 def test_duality_on_vanishing_at_zero():
     # psi(0) = 0: <F(ln), psi> = -(1/2) integral psi(y)/|y| dy
     psi = ParityFunction(+1, ((1.0, 2, 1.0), (-0.5, 4, 2.0)))
     assert psi.at_zero() == 0.0
-    assert pair_log_fourier(psi) == pytest.approx(-haar_real_cross(psi),
-                                                  abs=1e-7)
+    assert pair_log_fourier(psi)[0] == pytest.approx(-haar_real_cross(psi),
+                                                     abs=1e-7)
 
 
 def test_haar_real_cross_oracle():
