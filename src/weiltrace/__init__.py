@@ -2,7 +2,7 @@
 function: test-function families on the multiplicative half-line, Mellin
 and Fourier transforms, the summation operator Z and its Moebius inverse,
 completed zeta and Dirichlet L-values, critical-line zero finding, the
-prime/archimedean decomposition of the Weil distribution, and Toeplitz
+prime/archimedean decomposition of the Weil distribution, and
 commutator trace identities.
 """
 
@@ -14,9 +14,8 @@ from .errors import (BudgetExceededError, ConfigError, CountMismatchError,
                      TailBoundError, ToleranceError, WeiltraceError,
                      WindowError)
 from .families import (LogBump, LogGaussian, ParityFunction, ScaledPower,
-                       Shifted, TestFunction, apply_J, cmul, derivation,
-                       gaussian_even, gaussian_odd, power_weight, reflect,
-                       scale, tau)
+                       Shifted, TestFunction, apply_J, cmul, gaussian_even,
+                       gaussian_odd, power_weight, reflect, scale, tau)
 from .grids import QuadratureSpec, cinf_step
 from .transforms import (MellinValue, ShiftedProfile, fourier,
                          fourier_quadrature, haar_real_cross, mellin,
@@ -33,7 +32,7 @@ from .operators import (DirichletCharacter, TruncationSpec, apply_L_chi,
 from .explicit import (ExplicitFormulaReport, W_infty, W_p, W_prime_total,
                        archimedean_constant, pv_regularised, spectral_parts,
                        spectral_side, verify_explicit_formula)
-from .traces import (AuxiliaryPhi, LogGridSpec, build_phi, commutator_kernel,
+from .traces import (AuxiliaryPhi, LogGridSpec, build_phi, commutator_trace,
                      derivation_inverse_identity, phi_log_identity,
                      toeplitz_trace_check, trace_rhs, von_mangoldt_comb,
                      weil_derivation_check)

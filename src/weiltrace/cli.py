@@ -100,6 +100,22 @@ def _parse_function(text: str):
     return parse_function(text)
 
 
+def _parse_half_line_function(text: str, cmd: str):
+    """A test function on (0, inf); a function on R is a config error."""
+    f = _parse_function(text)
+    if isinstance(f, ParityFunction):
+        raise ConfigError(f"{cmd} needs a test function on (0, inf); "
+                          f"{text!r} is a function on R")
+    return f
+
+
+def _value(cfg: RunConfig, key: str, default):
+    """cfg[key], or default when the key is unset (None), so that a 0
+    reaches validation instead of turning into the default."""
+    value = cfg.get(key)
+    return default if value is None else value
+
+
 def _resolve_zeros(source: str, out_path: str | None):
     """Zero table from a file path or 'auto:T' with file caching."""
     if source is None:
@@ -151,23 +167,23 @@ def _check_command(cfg: RunConfig) -> tuple[dict, bool]:
     tr = _parse_trunc(cfg.get("trunc"))
     if cmd == "check-poisson":
         f = _parse_function(cfg["f"])
-        xs = [float(t) for t in (cfg.get("x") or "0.25,0.5,1,2,4").split(",")]
-        tol = float(cfg.get("tol") or 1e-10)
+        xs = [float(t) for t in _value(cfg, "x", "0.25,0.5,1,2,4").split(",")]
+        tol = float(_value(cfg, "tol", 1e-10))
         residuals = {str(x): poisson_check(f, x, tr) for x in xs}
         worst = max(residuals.values())
         return {"residuals": residuals, "max_residual": worst,
                 "tolerance": tol}, worst < tol
     if cmd == "check-zspectral":
         f = _parse_function(cfg["f"])
-        s = _parse_complex(cfg.get("s") or "2,0")
-        tol = float(cfg.get("tol") or 1e-8)
+        s = _parse_complex(_value(cfg, "s", "2,0"))
+        tol = float(_value(cfg, "tol", 1e-8))
         res = zspectral_check(f, s, tr)
         return {"residual": res, "tolerance": tol}, res < tol
     if cmd == "check-twisted-poisson":
         f = _parse_function(cfg["f"])
         chi = character(int(cfg["modulus"]), int(cfg["index"]))
-        xs = [float(t) for t in (cfg.get("x") or "0.5,1,2").split(",")]
-        tol = float(cfg.get("tol") or 1e-7)
+        xs = [float(t) for t in _value(cfg, "x", "0.5,1,2").split(",")]
+        tol = float(_value(cfg, "tol", 1e-7))
         residuals, kappas = {}, {}
         for x in xs:
             res, kappa = twisted_poisson_check(chi, f, x, tr)
@@ -179,19 +195,19 @@ def _check_command(cfg: RunConfig) -> tuple[dict, bool]:
                 "max_residual": worst, "kappa_modulus_defect": kappa_defect,
                 "tolerance": tol}, ok
     if cmd == "check-trace-lemma":
-        f0 = _parse_function(cfg["f0"])
-        f1 = _parse_function(cfg["f1"])
-        phi = build_phi(float(cfg.get("phi_width") or 1.0))
-        grid = LogGridSpec(n_points=int(cfg.get("n") or 2048),
-                           half_width=float(cfg.get("window") or 8.0))
-        tol = float(cfg.get("tol") or 1e-6)
+        f0 = _parse_half_line_function(cfg["f0"], cmd)
+        f1 = _parse_half_line_function(cfg["f1"], cmd)
+        phi = build_phi(float(_value(cfg, "phi_width", 1.0)))
+        grid = LogGridSpec(n_points=int(_value(cfg, "n", 2048)),
+                           half_width=float(_value(cfg, "window", 8.0)))
+        tol = float(_value(cfg, "tol", 1e-6))
         res = toeplitz_trace_check(f0, f1, phi, grid)
         return {"residual": res, "tolerance": tol}, res < tol
     if cmd == "check-phi-identity":
-        phi = build_phi(float(cfg.get("phi_width") or 1.0))
-        xs = [float(t) for t in (cfg.get("x") or "0.5,1,2.718281828459045"
-                                 ).split(",")]
-        tol = float(cfg.get("tol") or 1e-10)
+        phi = build_phi(float(_value(cfg, "phi_width", 1.0)))
+        xs = [float(t) for t in _value(cfg, "x", "0.5,1,2.718281828459045"
+                                    ).split(",")]
+        tol = float(_value(cfg, "tol", 1e-10))
         residuals = {str(x): phi_log_identity(phi, x) for x in xs}
         worst = max(residuals.values())
         return {"residuals": residuals, "max_residual": worst,
@@ -214,7 +230,7 @@ def _zeros_command(cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def _verify_command(cfg: RunConfig) -> tuple[dict, bool]:
-    f = _parse_function(cfg["f"])
+    f = _parse_half_line_function(cfg["f"], cfg.command)
     table, table_path = _resolve_zeros(cfg.get("zeros"), cfg.get("out"))
     tr = _parse_trunc(cfg.get("trunc"), primes=cfg.get("primes"),
                       e_max=cfg.get("e_max"))

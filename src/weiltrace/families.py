@@ -221,13 +221,6 @@ def tau(f: TestFunction) -> float:
     return f(1.0)
 
 
-def derivation(f: TestFunction):
-    """The derivation df(x) = f(x) ln x; tau(df) = 0 by construction."""
-    def df(x):
-        return f(x) * np.log(np.asarray(x, dtype=float))
-    return df
-
-
 # ---------------------------------------------------------------------------
 # Parity functions (Gaussian-times-polynomial family on R)
 # ---------------------------------------------------------------------------

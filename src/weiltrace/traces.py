@@ -7,8 +7,8 @@ Two identities are checked numerically on a logarithmic grid:
     where conv(f) is multiplicative convolution with f, M_phi is
     multiplication by a smooth switch phi, d is the derivation
     (d f)(x) = f(x) ln x, * is multiplicative convolution, and
-    tau(g) = g(1); the left side is discretised as a dense kernel and
-    traced against the grid weights;
+    tau(g) = g(1); the left side is discretised on a log grid and its
+    weighted diagonal is summed over lags, so no kernel matrix is formed;
 
   * the switch identity  integral (phi(z) - phi(x z)) d*z = ln(1/x),
     which is what makes the trace independent of the particular phi.
@@ -97,17 +97,6 @@ class LogGridSpec:
         return w
 
 
-@dataclass(frozen=True)
-class KernelOperator:
-    """A discretised integral operator on the log grid: value, weights,
-    and the dense kernel matrix K(x_i, x_j)."""
-    grid: LogGridSpec
-    matrix: np.ndarray
-
-    def trace(self) -> float:
-        return float(np.sum(self.grid.weights() * np.diag(self.matrix)))
-
-
 def _lag_values(f, u: np.ndarray) -> np.ndarray:
     """f evaluated on the lag grid e^{u_i - u_j}, as the vector over
     lags m = i - j in [-(n-1), n-1]."""
@@ -116,26 +105,21 @@ def _lag_values(f, u: np.ndarray) -> np.ndarray:
     return np.asarray(f(np.exp(lags)), dtype=float)
 
 
-def _toeplitz(vec: np.ndarray, n: int) -> np.ndarray:
-    """Toeplitz matrix T[i, j] = vec[i - j + n - 1]."""
-    idx = np.arange(n)
-    return vec[idx[:, None] - idx[None, :] + n - 1]
+def commutator_trace(f0, f1, phi: AuxiliaryPhi, grid: LogGridSpec) -> float:
+    """tr(conv(f0) [M_phi, conv(f1)]) on the log grid.
 
+    The kernel K(x_i, x_j) = sum_k w_k f0(x_i/x_k) f1(x_k/x_j)
+    (phi_k - phi_j) is traced against the weights w without forming it:
 
-def commutator_kernel(f0, f1, phi: AuxiliaryPhi,
-                      grid: LogGridSpec | None = None) -> KernelOperator:
-    """Kernel of conv(f0) [M_phi, conv(f1)] on the log grid:
+        sum_{i,k} w_i w_k (phi_k - phi_i) v0[i-k] v1[k-i]
+            = sum_m (g[m] - g[-m]) a[m],
 
-        K(x_i, x_j) = integral f0(x_i / z) f1(z / x_j)
-                      (phi(z) - phi(x_j)) d*z,
-
-    assembled from two Toeplitz matrix products.  The effective support
-    of f0 and f1 must fit inside the doubled window, else WindowError.
+    with g[m] = v0[m] v1[-m] over the 2n-1 lags and a[m] =
+    sum_k w_{k+m} w_k phi_k.  The effective support of f0 and f1 must
+    fit inside the doubled window, else WindowError.
     """
-    grid = grid or LogGridSpec()
     u = grid.u_grid()
     w = grid.weights()
-    phi_vals = phi.of_log(u)
     v0 = _lag_values(f0, u)
     v1 = _lag_values(f1, u)
     peak = max(np.max(np.abs(v0)), np.max(np.abs(v1)))
@@ -144,12 +128,9 @@ def commutator_kernel(f0, f1, phi: AuxiliaryPhi,
         raise WindowError(
             f"kernel support leaves the window: edge/peak = "
             f"{edge / peak:.3e}; enlarge half_width")
-    n = u.size
-    t0 = _toeplitz(v0, n)
-    t1 = _toeplitz(v1, n)
-    inner = t0 @ ((w * phi_vals)[:, None] * t1)
-    outer = (t0 @ (w[:, None] * t1)) * phi_vals[None, :]
-    return KernelOperator(grid=grid, matrix=inner - outer)
+    g = v0 * v1[::-1]
+    a = np.correlate(w, w * phi.of_log(u), "full")
+    return float(np.dot(g - g[::-1], a))
 
 
 def trace_rhs(f0, f1, *, n_points: int = 30001,
@@ -165,8 +146,8 @@ def trace_rhs(f0, f1, *, n_points: int = 30001,
 def toeplitz_trace_check(f0, f1, phi: AuxiliaryPhi,
                          grid: LogGridSpec | None = None) -> float:
     """Residual |tr(conv(f0) [M_phi, conv(f1)]) - tau(f0 * d f1)|."""
-    op = commutator_kernel(f0, f1, phi, grid)
-    return abs(op.trace() - trace_rhs(f0, f1))
+    trace = commutator_trace(f0, f1, phi, grid or LogGridSpec())
+    return abs(trace - trace_rhs(f0, f1))
 
 
 # ---------------------------------------------------------------------------

@@ -172,8 +172,29 @@ def test_cli_verify_every_parsable_function(tmp_path, monkeypatch, expr):
      "--f1", "loggauss(1,0.3,0.9)", "--n", "8"),
     ("lchi", "--modulus", "4", "--index", "9", "--s", "2,0"),
     ("check-zspectral", "--f", "loggauss(1,0,1)", "--s", "0.5,0"),
+    ("check-trace-lemma", "--f0", "loggauss(1,0,0.7)",
+     "--f1", "loggauss(1,0.3,0.9)", "--n", "0"),
+    ("check-trace-lemma", "--f0", "loggauss(1,0,0.7)",
+     "--f1", "loggauss(1,0.3,0.9)", "--window", "0"),
+    ("check-trace-lemma", "--f0", "loggauss(1,0,0.7)",
+     "--f1", "loggauss(1,0.3,0.9)", "--phi-width", "0"),
+    ("check-phi-identity", "--phi-width", "0"),
 ])
 def test_cli_out_of_range_value_is_config_error(tmp_path, argv):
     status, report = _run(tmp_path, *argv)
     assert status == 2
     assert report["outputs"]["error_type"] == "ValueError"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-explicit-formula", "--zeros", "auto:60", "--f"),
+    ("check-trace-lemma", "--f1", "loggauss(1,0.3,0.9)", "--f0"),
+])
+@pytest.mark.parametrize("name", sorted(_BUILTINS))
+def test_cli_rejects_function_on_real_line(tmp_path, monkeypatch, argv,
+                                           name):
+    monkeypatch.setenv("WEILTRACE_CACHE", str(tmp_path))
+    status, report = _run(tmp_path, *argv, name)
+    assert status == 2
+    assert report["outputs"]["error_type"] == "ConfigError"
+    assert "(0, inf)" in report["outputs"]["error"]

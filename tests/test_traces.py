@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weiltrace import (LogGaussian, LogGridSpec, build_phi, cinf_step,
-                       derivation_inverse_identity, phi_log_identity,
-                       toeplitz_trace_check, von_mangoldt_comb,
-                       weil_derivation_check)
-from weiltrace.traces import KernelOperator, commutator_kernel, trace_rhs
+                       commutator_trace, derivation_inverse_identity,
+                       phi_log_identity, toeplitz_trace_check, trace_rhs,
+                       von_mangoldt_comb, weil_derivation_check)
+
+# criterion 8's first pair
+F0 = LogGaussian(1.0, 0.0, 0.7)
+F1 = LogGaussian(1.0, 0.3, 0.9)
 
 
 def test_cinf_step_partition():
@@ -39,24 +42,44 @@ def test_phi_log_identity_width_independent():
             assert phi_log_identity(phi, x) < 1e-10
 
 
-def test_trace_cyclicity():
-    # tr(AB) = tr(BA) for discretized kernels
-    grid = LogGridSpec(n_points=200, half_width=6.0)
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((200, 200))
-    b = rng.standard_normal((200, 200))
+def test_commutator_trace_matches_dense_kernel():
+    # the kernel straight from its definition,
+    # K(x_i, x_j) = sum_k w_k f0(x_i/x_k) f1(x_k/x_j) (phi_k - phi_j),
+    # traced against the weights
+    grid = LogGridSpec(n_points=256, half_width=8.0)
+    phi = build_phi(1.0)
+    x = np.exp(grid.u_grid())
     w = grid.weights()
-    # kernel composition carries the quadrature weights
-    ta = KernelOperator(grid, a @ (w[:, None] * b)).trace()
-    tb = KernelOperator(grid, b @ (w[:, None] * a)).trace()
-    assert ta == pytest.approx(tb, rel=1e-9)
+    p = phi(x)
+    ratio = x[:, None] / x[None, :]
+    left = F0(ratio) * w[None, :]
+    right = F1(ratio) * (p[:, None] - p[None, :])
+    dense = float(np.sum(w * np.diag(left @ right)))
+    assert commutator_trace(F0, F1, phi, grid) == pytest.approx(dense,
+                                                                abs=1e-14)
+
+
+def test_commutator_trace_phi_width_independent():
+    grid = LogGridSpec(n_points=2048, half_width=8.0)
+    traces = [commutator_trace(F0, F1, build_phi(w), grid)
+              for w in (0.5, 1.0, 2.0)]
+    assert max(traces) - min(traces) < 1e-13
+
+
+def test_trace_check_notices_wrong_sign():
+    # trace_rhs(f1, f0) = -tau(f0 * d f1): a check against it must fail
+    # by about 2 |tau|, far above the 1e-6 tolerance
+    grid = LogGridSpec(n_points=2048, half_width=8.0)
+    tau = trace_rhs(F0, F1)
+    residual = abs(commutator_trace(F0, F1, build_phi(1.0), grid)
+                   - trace_rhs(F1, F0))
+    assert residual == pytest.approx(2.0 * abs(tau), rel=1e-9)
+    assert residual > 1e5 * 1e-6
 
 
 def test_toeplitz_trace_smooth_pair():
-    f0 = LogGaussian(1.0, 0.0, 0.7)
-    f1 = LogGaussian(1.0, 0.3, 0.9)
     phi = build_phi(1.0)
-    res = toeplitz_trace_check(f0, f1, phi,
+    res = toeplitz_trace_check(F0, F1, phi,
                                LogGridSpec(n_points=1024, half_width=8.0))
     assert res < 1e-8
 
