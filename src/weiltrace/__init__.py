@@ -17,9 +17,9 @@ from .families import (LogBump, LogGaussian, ParityFunction, ScaledPower,
                        Shifted, TestFunction, apply_J, cmul, gaussian_even,
                        gaussian_odd, power_weight, reflect, scale, tau)
 from .grids import QuadratureSpec, cinf_step
-from .transforms import (MellinValue, ShiftedProfile, fourier,
-                         fourier_quadrature, haar_real_cross, mellin,
-                         mellin_parity, pair_log_fourier)
+from .transforms import (MellinValue, fourier, fourier_quadrature,
+                         haar_real_cross, mellin, mellin_parity,
+                         pair_log_fourier)
 from .special import (CompletedZetaValue, EULER_GAMMA, digamma, gamma,
                       hardy_z, hurwitz_zeta, l_chi, lambda_chi, loggamma,
                       rs_theta, xi, zero_count_estimate, zeta, zeta_tail)

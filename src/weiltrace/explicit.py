@@ -8,11 +8,16 @@ prime-power terms ln(p) [f(p^e) + p^{-e} f(p^{-e})], and W_inf is the
 archimedean local term.
 
 W_inf is computed by two genuinely different routes:
-  * duality: -<F(ln|x|), psi> with psi(y) = f(|1-y|), through the
-    regularised pairing in the transforms module (primary);
-  * subtracted principal value: the symmetric-cut limit of
+  * Weil's digamma form (primary),
+        W_inf(f) = (1/pi) integral_0^inf Re (M f)(1/2 + i r)
+                   (ln pi - Re digamma(1/4 + i r/2)) dr,
+    with the Mellin transform on the critical line taken from one FFT
+    of the log-grid samples (A. Weil, 1952; E. Bombieri, 2000);
+  * the duality pairing -<F(ln|x|), psi> with psi(y) = f(|1-y|), where
+    F(ln|x|) = -(1/2)|y|^{-1}_reg - (gamma + ln 2 pi) delta is written in
+    closed form: the symmetric-cut principal value of
     integral f(x) (|1-x|^{-1} + (1+x)^{-1}) dx plus c_inf f(1), with
-    the closed-form constant c_inf = ln(2 pi) + gamma (secondary).
+    c_inf = ln(2 pi) + gamma (secondary).
 Their disagreement is monitored and fed into the error budget.
 """
 
@@ -27,9 +32,15 @@ from .errors import BudgetExceededError, DisagreementError
 from .families import TestFunction
 from .grids import QuadratureSpec, trapezoid, trapezoid_with_coarse
 from .operators import TruncationSpec, primes_up_to
-from .special import EULER_GAMMA
-from .transforms import ShiftedProfile, mellin, pair_log_fourier
+from .special import EULER_GAMMA, digamma
+from .transforms import mellin, mellin_critical_line
 from .zeros import ZeroTable
+
+# Grid sizes of the principal-value route (odd: each carries one
+# Richardson step) and the largest relative disagreement of the routes.
+_PV_INNER_POINTS = 8193
+_PV_OUTER_POINTS = 6001
+_CROSS_CHECK_TOL = 1e-5
 
 
 def _mellin_value(f, s: complex, q: QuadratureSpec | None = None) -> complex:
@@ -61,12 +72,13 @@ def _prime_tail_bound(f, p_from: float, *, n_grid: int = 2001) -> float:
     Valid once g(t) = ln(t) (|f(t)| + |f(1/t)|/t) is decreasing past
     p_from, which holds for the rapidly decaying families here.
     """
-    u = np.linspace(math.log(p_from), math.log(p_from) + 60.0, n_grid)
+    u, h = np.linspace(math.log(p_from), math.log(p_from) + 60.0, n_grid,
+                       retstep=True)
     t = np.exp(u)
     g = np.log(t) * (np.abs(f(t)) + np.abs(f(1.0 / t)) / t)
     # sum_{p > P} g(p) <= g(P) + int_P^inf g(t) dt  (decreasing g);
     # the e >= 2 powers of such p are dominated by the same bound.
-    integral = float(trapezoid(g * t, u[1] - u[0]))
+    integral = float(trapezoid(g * t, h))
     head = float(np.max(g[:1]))
     return 2.0 * (head + integral)
 
@@ -81,26 +93,30 @@ def W_prime_total(f, tr: TruncationSpec | None = None,
     return total, _prime_tail_bound(f, float(tr.p_max))
 
 
-def pv_regularised(f, *, n_inner: int = 8193, n_outer: int = 6001) -> float:
+def _richardson(vals: np.ndarray, h: float) -> float:
+    """Trapezoid with one Richardson step: its O(h^2) endpoint error,
+    which an integrand not decaying at the ends leaves, becomes O(h^4)."""
+    fine, coarse = trapezoid_with_coarse(vals, h)
+    return float(fine) + (float(fine) - float(coarse)) / 3.0
+
+
+def pv_regularised(f) -> float:
     """The symmetric-cut principal value
         lim_{eps -> 0} [ integral_{|1-x| > eps} f~(x) / |1-x| dx
                          + 2 f(1) ln(eps) ],
     where f~ is the even extension of f; computed in the subtracted
-    form (no explicit eps), with one Richardson step on the inner
-    trapezoid so the quadrature error is O(h^4)."""
-    t = np.linspace(0.0, 1.0, n_inner)
+    form (no explicit eps) as an inner integral over |1-x| <= 1 and an
+    outer one over |1-x| = e^u, u >= 0, each with one Richardson step."""
+    t, h = np.linspace(0.0, 1.0, _PV_INNER_POINTS, retstep=True)
     vals = np.empty_like(t)
     vals[0] = 0.0
     tm = t[1:]
     vals[1:] = (f(np.maximum(1.0 - tm, 1e-300)) + f(1.0 + tm)
                 - 2.0 * f(1.0)) / tm
-    fine, coarse = trapezoid_with_coarse(vals, t[1] - t[0])
-    inner_val = float(fine) + (float(fine) - float(coarse)) / 3.0
-    u = np.linspace(0.0, 60.0, n_outer)
+    u, h_out = np.linspace(0.0, 60.0, _PV_OUTER_POINTS, retstep=True)
     t = np.exp(u)
     outer_vals = f(1.0 + t) + np.where(t > 1.0, f(np.maximum(t - 1.0, 1e-300)), 0.0)
-    outer_val = float(trapezoid(outer_vals, u[1] - u[0]))
-    return inner_val + outer_val
+    return _richardson(vals, h) + _richardson(outer_vals, h_out)
 
 
 def archimedean_constant() -> float:
@@ -109,23 +125,29 @@ def archimedean_constant() -> float:
     return math.log(2.0 * math.pi) + EULER_GAMMA
 
 
-def W_infty(f, *, cross_check_tol: float = 1e-5,
-            ) -> tuple[float, float, float]:
-    """Archimedean term by the duality route, cross-checked against the
-    principal-value route.
+def W_infty(f) -> tuple[float, float, float]:
+    """Archimedean term by Weil's digamma form, cross-checked against
+    the principal-value route.
 
-    Returns (value, quadrature_error_estimate, route_disagreement);
-    raises DisagreementError when the two routes differ by more than
-    cross_check_tol (scaled by the size of the value).
+    Returns (value, quadrature_error_estimate, route_disagreement) as
+    floats.  The estimate is the change of the r-integral over every
+    other sample plus the charge |integrand(r_max)| r_max / pi for the
+    range above the last FFT frequency r_max.  Raises DisagreementError
+    when the two routes differ by more than _CROSS_CHECK_TOL (scaled by
+    the size of the value).
     """
-    psi = ShiftedProfile(f)
-    pairing, est = pair_log_fourier(psi)
-    value = -pairing
+    r, mf = mellin_critical_line(f)
+    integrand = mf.real * (math.log(math.pi)
+                           - digamma(0.25 + 0.5j * r).real)
+    fine, coarse = trapezoid_with_coarse(integrand, r[1])
+    value = float(fine) / math.pi
+    est = (abs(float(fine) - float(coarse))
+           + abs(float(integrand[-1])) * float(r[-1])) / math.pi
     secondary = 0.5 * pv_regularised(f) + archimedean_constant() * f(1.0)
     disagreement = abs(value - secondary)
-    if disagreement > cross_check_tol * max(1.0, abs(value)):
+    if disagreement > _CROSS_CHECK_TOL * max(1.0, abs(value)):
         raise DisagreementError(
-            f"archimedean routes disagree: duality {value!r} vs "
+            f"archimedean routes disagree: digamma form {value!r} vs "
             f"principal-value {secondary!r}")
     return value, est, disagreement
 

@@ -39,8 +39,11 @@ class QuadratureSpec:
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
 
-    def u_grid(self) -> np.ndarray:
-        return np.linspace(self.u_min, self.u_max, self.n_points)
+    def u_grid(self) -> tuple[np.ndarray, float]:
+        """(grid, exact step); the step is not recomputed from two
+        rounded grid points."""
+        return np.linspace(self.u_min, self.u_max, self.n_points,
+                           retstep=True)
 
 
 def trapezoid(values: np.ndarray, spacing: float) -> complex:

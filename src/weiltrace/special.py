@@ -1,5 +1,8 @@
-"""Scalar special functions: Gamma, zeta, Hurwitz zeta, the completed
+"""Special functions: Gamma, digamma, zeta, Hurwitz zeta, the completed
 zeta function, Dirichlet L-functions, and the Hardy Z-function.
+
+All are scalar except digamma, which is elementwise on arrays because
+the archimedean term integrates it along a whole line.
 
 Everything here is self-contained binary64 arithmetic: Gamma by the
 Lanczos approximation, zeta and Hurwitz zeta by Euler-Maclaurin with
@@ -12,6 +15,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (ImaginaryResidueError, NonPrimitiveCharacterError,
                      PoleError)
@@ -80,25 +85,32 @@ def loggamma(s: complex) -> complex:
             + cmath.log(a))
 
 
-def digamma(z: complex) -> complex:
-    """psi(z) by recurrence into the asymptotic region."""
-    z = complex(z)
-    if _is_nonpositive_integer(z):
-        raise PoleError(f"digamma pole at z = {z}")
-    if z.real < 0.5:
-        # Reflection: psi(1-z) - psi(z) = pi cot(pi z)
-        return digamma(1.0 - z) - math.pi / cmath.tan(math.pi * z)
-    shift = 0.0
-    while abs(z) < 16.0:
-        shift -= 1.0 / z
-        z = z + 1.0
-    inv2 = 1.0 / (z * z)
-    series = cmath.log(z) - 0.5 / z
+def digamma(z):
+    """psi(z) by recurrence into the asymptotic region, elementwise on
+    arrays; a scalar argument gives a complex scalar."""
+    scalar = np.ndim(z) == 0
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    pole = ((np.abs(z.imag) < 1e-12) & (z.real <= 0.5)
+            & (np.abs(z.real - np.round(z.real)) < 1e-12))
+    if np.any(pole):
+        raise PoleError(f"digamma pole at z = {z[pole][0]}")
+    # Reflection: psi(1-z) - psi(z) = pi cot(pi z)
+    left = z.real < 0.5
+    w = np.where(left, 1.0 - z, z)
+    shift = np.zeros_like(w)
+    small = np.abs(w) < 16.0
+    while np.any(small):
+        shift[small] -= 1.0 / w[small]
+        w[small] += 1.0
+        small = np.abs(w) < 16.0
+    inv2 = 1.0 / (w * w)
+    out = np.log(w) - 0.5 / w + shift
     term = inv2
     for k, b2k in enumerate(_BERNOULLI_EVEN[:8], start=1):
-        series -= b2k / (2.0 * k) * term
-        term *= inv2
-    return series + shift
+        out -= b2k / (2.0 * k) * term
+        term = term * inv2
+    out[left] -= math.pi / np.tan(math.pi * z[left])
+    return complex(out[0]) if scalar else out
 
 
 def zeta_tail(n_start: int, s: complex, n_bernoulli: int = 12) -> complex:

@@ -68,9 +68,9 @@ def phi_log_identity(phi: AuxiliaryPhi, x: float, *,
     if x <= 0:
         raise ValueError("x must be positive")
     pad = 4.0 * phi.width + abs(math.log(x)) + 2.0
-    u = np.linspace(-pad, pad, n_points)
+    u, h = LogGridSpec(n_points, pad).u_grid()
     vals = phi.of_log(u) - phi.of_log(u + math.log(x))
-    integral = float(trapezoid(vals, u[1] - u[0]))
+    integral = float(trapezoid(vals, h))
     return abs(integral - math.log(1.0 / x))
 
 
@@ -85,9 +85,10 @@ class LogGridSpec:
         if self.n_points < 16 or self.half_width <= 0:
             raise ValueError("bad grid spec")
 
-    def u_grid(self) -> np.ndarray:
+    def u_grid(self) -> tuple[np.ndarray, float]:
+        """(grid, exact step), as QuadratureSpec.u_grid."""
         return np.linspace(-self.half_width, self.half_width,
-                           self.n_points)
+                           self.n_points, retstep=True)
 
     def weights(self) -> np.ndarray:
         h = 2.0 * self.half_width / (self.n_points - 1)
@@ -97,10 +98,9 @@ class LogGridSpec:
         return w
 
 
-def _lag_values(f, u: np.ndarray) -> np.ndarray:
-    """f evaluated on the lag grid e^{u_i - u_j}, as the vector over
-    lags m = i - j in [-(n-1), n-1]."""
-    h = u[1] - u[0]
+def _lag_values(f, u: np.ndarray, h: float) -> np.ndarray:
+    """f evaluated on the lag grid e^{u_i - u_j} of the grid u with step
+    h, as the vector over lags m = i - j in [-(n-1), n-1]."""
     lags = np.arange(-(u.size - 1), u.size) * h
     return np.asarray(f(np.exp(lags)), dtype=float)
 
@@ -118,10 +118,10 @@ def commutator_trace(f0, f1, phi: AuxiliaryPhi, grid: LogGridSpec) -> float:
     sum_k w_{k+m} w_k phi_k.  The effective support of f0 and f1 must
     fit inside the doubled window, else WindowError.
     """
-    u = grid.u_grid()
+    u, h = grid.u_grid()
     w = grid.weights()
-    v0 = _lag_values(f0, u)
-    v1 = _lag_values(f1, u)
+    v0 = _lag_values(f0, u, h)
+    v1 = _lag_values(f1, u, h)
     peak = max(np.max(np.abs(v0)), np.max(np.abs(v1)))
     edge = max(abs(v0[0]), abs(v0[-1]), abs(v1[0]), abs(v1[-1]))
     if edge > 1e-13 * peak:
@@ -137,10 +137,10 @@ def trace_rhs(f0, f1, *, n_points: int = 30001,
               half_width: float = 18.0) -> float:
     """tau(f0 * d f1) = integral f0(x) f1(1/x) ln(1/x) d*x by an
     independent quadrature (finer and wider than the kernel grid)."""
-    u = np.linspace(-half_width, half_width, n_points)
+    u, h = LogGridSpec(n_points, half_width).u_grid()
     vals = np.asarray(f0(np.exp(u)), dtype=float) \
         * np.asarray(f1(np.exp(-u)), dtype=float) * (-u)
-    return float(trapezoid(vals, u[1] - u[0]))
+    return float(trapezoid(vals, h))
 
 
 def toeplitz_trace_check(f0, f1, phi: AuxiliaryPhi,

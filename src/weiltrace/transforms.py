@@ -9,7 +9,8 @@ so it is exact up to arithmetic rounding; a plain quadrature version is
 kept as an independent cross-check oracle.
 
 The Mellin transform uses the multiplicative-Haar normalisation
-    (M f)(s) = integral_0^inf f(x) x^s dx/x.
+    (M f)(s) = integral_0^inf f(x) x^s dx/x;
+on the critical line one FFT gives it at a whole grid of heights.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ import numpy as np
 
 from .errors import DivergentIntegralError, WindowError
 from .families import ParityFunction, TestFunction
-from .grids import (QuadratureSpec, cinf_step, trapezoid,
-                    trapezoid_with_coarse)
+from .grids import QuadratureSpec, trapezoid, trapezoid_with_coarse
 
 
 def fourier(f: ParityFunction) -> ParityFunction:
@@ -56,8 +56,7 @@ def fourier_quadrature(f, y, *, half_width: float = 12.0,
     f must decay to negligible size by |x| = half_width.  Slow but
     independent of the symbolic route; used for cross-checks.
     """
-    x = np.linspace(-half_width, half_width, n_points)
-    h = x[1] - x[0]
+    x, h = np.linspace(-half_width, half_width, n_points, retstep=True)
     vals = np.asarray(f(x), dtype=complex) * np.exp(2j * math.pi * x * y)
     return complex(trapezoid(vals, h))
 
@@ -82,19 +81,47 @@ def mellin(f: TestFunction, s: complex, q: QuadratureSpec | None = None,
     s = complex(s)
     if q is None:
         q = QuadratureSpec()
-    u = q.u_grid()
-    h = u[1] - u[0]
-    vals = np.asarray(f(np.exp(u)), dtype=complex) * np.exp(s * u)
+    _, h, vals, edge = _window_samples(f, s, q)
     fine, coarse = trapezoid_with_coarse(vals, h)
     value = complex(fine)
     est = abs(value - complex(coarse))
+    return MellinValue(s=s, value=value, est_error=est + 10.0 * edge * h)
+
+
+def mellin_critical_line(f: TestFunction, q: QuadratureSpec | None = None,
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """(r, (M f)(1/2 + i r)) at r_k = 2 pi k / (m h), k = 0 .. n - 1,
+    where h is the step of q's n-point grid and m = 2 (n - 1), so r runs
+    up to pi / h.
+
+    Every value is the trapezoid sum that ``mellin`` forms at
+    s = 1/2 + i r_k on the same grid; one FFT of length m gives them all
+    at once.  A window whose endpoints still carry mass raises
+    WindowError, as in ``mellin``.
+    """
+    if q is None:
+        q = QuadratureSpec()
+    u, h, g, _ = _window_samples(f, 0.5, q)
+    g[[0, -1]] *= 0.5
+    m = 2 * (u.size - 1)
+    r = np.arange(u.size) * (2.0 * math.pi / (m * h))
+    # ifft(g)[k] * m = sum_j g_j e^{2 pi i j k / m} = sum_j g_j e^{i r_k j h}
+    sums = np.fft.ifft(g, n=m)[:u.size] * m
+    return r, h * np.exp(1j * r * u[0]) * sums
+
+
+def _window_samples(f, s: complex, q: QuadratureSpec):
+    """(u, h, f(e^u) e^{s u}, edge) on q's grid; WindowError when the
+    larger endpoint sample, edge, is not negligible against the peak."""
+    u, h = q.u_grid()
+    vals = np.asarray(f(np.exp(u)), dtype=complex) * np.exp(s * u)
     scale = float(np.max(np.abs(vals))) or 1.0
     edge = max(abs(vals[0]), abs(vals[-1]))
     if edge > 1e-13 * scale:
         raise WindowError(
             f"Mellin window [{q.u_min}, {q.u_max}] truncates mass: "
             f"edge/peak = {edge / scale:.3e}")
-    return MellinValue(s=s, value=value, est_error=est + 10.0 * edge * h)
+    return u, h, vals, edge
 
 
 def mellin_parity(f: ParityFunction, s: complex,
@@ -115,8 +142,7 @@ def mellin_parity(f: ParityFunction, s: complex,
             f"{s.real + k_min:.3f} <= 0 (need > 0, with margin)")
     if q is None:
         q = QuadratureSpec(u_min=-60.0, u_max=6.0, n_points=6001)
-    u = q.u_grid()
-    h = u[1] - u[0]
+    u, h = q.u_grid()
     x = np.exp(u)
     vals = np.asarray(f(x), dtype=complex) * np.exp(s * u)
     fine, coarse = trapezoid_with_coarse(vals, h)
@@ -140,31 +166,6 @@ def mellin_parity(f: ParityFunction, s: complex,
     return MellinValue(s=s, value=value + tail, est_error=est + abs(tail) * 1e-12)
 
 
-class ShiftedProfile:
-    """The profile y -> f(|1 - y|) built from a multiplicative test
-    function f on (0, inf) through its even extension.
-
-    This is the shape that appears when the archimedean local term of
-    the explicit formula is rewritten as a distributional pairing with
-    the Fourier transform of ln|x|.
-    """
-
-    def __init__(self, f: TestFunction):
-        self.f = f
-
-    def __call__(self, y):
-        y = np.asarray(y, dtype=float)
-        x = np.abs(1.0 - y)
-        out = np.zeros_like(y)
-        mask = x > 1e-300
-        if np.any(mask):
-            out[mask] = self.f(x[mask])
-        return out if out.ndim else float(out)
-
-    def at_zero(self) -> float:
-        return float(self.f(1.0))
-
-
 def _integral_with_log_weight(g, x_max: float, *, v_min: float = -35.0,
                               n_points: int = 4001):
     """integral_R ln|x| g(x) dx for g decaying to negligible size by
@@ -176,8 +177,7 @@ def _integral_with_log_weight(g, x_max: float, *, v_min: float = -35.0,
     is spectrally accurate and the x = 0 log singularity never appears
     on the grid.
     """
-    v = np.linspace(v_min, math.log(x_max), n_points)
-    h = v[1] - v[0]
+    v, h = np.linspace(v_min, math.log(x_max), n_points, retstep=True)
     x = np.exp(v)
     vals = v * x * (np.asarray(g(x), dtype=complex)
                     + np.asarray(g(-x), dtype=complex))
@@ -190,8 +190,7 @@ def haar_real_cross(psi, *, x_max: float = 200.0, v_min: float = -35.0,
     it restricts to dx/x on the positive half-line for even psi; i.e.
     (1/2) integral_R psi(x) dx/|x|.  Requires psi(0) = 0 for convergence.
     """
-    v = np.linspace(v_min, math.log(x_max), n_points)
-    h = v[1] - v[0]
+    v, h = np.linspace(v_min, math.log(x_max), n_points, retstep=True)
     x = np.exp(v)
     vals = 0.5 * (np.asarray(psi(x), dtype=complex)
                   + np.asarray(psi(-x), dtype=complex)).real
@@ -206,71 +205,23 @@ def pair_log_fourier(psi, *, x_max: float | None = None,
     value when the log-weight integral uses every other of its n_points
     (odd) samples.
 
-    For Gaussian-polynomial psi the closed-form Fourier transform is
-    used (it is itself validated against quadrature in the test suite),
-    so only the log-weight integral is numerical.
-    For ShiftedProfile psi, which has a slowly decaying left tail, the
-    profile is split with a smooth cutoff into a compactly supported
-    near part (paired by honest double quadrature) and a far part whose
-    pairing reduces exactly to the homogeneous density -1/(2|y|):
-
-        <F(ln|x|), psi_far> = -(1/2) integral psi_far(y) / |y| dy,
-
-    valid because psi_far vanishes near 0, where the delta term and the
-    subtraction in the regularised pairing live.
+    psi is a Gaussian-polynomial function, whose closed-form Fourier
+    transform is used (it is itself validated against quadrature in the
+    test suite), so only the log-weight integral is numerical.  The
+    archimedean term of the explicit formula is this pairing for
+    psi(y) = f(|1 - y|); the explicit module evaluates it in closed form
+    as its principal-value route.
     """
-    if isinstance(psi, ParityFunction):
-        if psi.parity == -1:
-            # Pairing of an even distribution with an odd function.
-            return 0.0, 0.0
-        fpsi = fourier(psi)
-        if x_max is None:
-            x_max = math.sqrt(48.0 * max(a for _, _, a in psi.terms) / math.pi) + 4.0
-        val, coarse = _integral_with_log_weight(fpsi, x_max, n_points=n_points)
-        if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
-            raise WindowError(f"pairing has imaginary residue {val.imag:.3e}")
-        return float(val.real), abs(float(val.real) - float(coarse.real))
+    if not isinstance(psi, ParityFunction):
+        raise TypeError("psi must be a ParityFunction")
+    if psi.parity == -1:
+        # Pairing of an even distribution with an odd function.
+        return 0.0, 0.0
+    fpsi = fourier(psi)
+    if x_max is None:
+        x_max = math.sqrt(48.0 * max(a for _, _, a in psi.terms) / math.pi) + 4.0
+    val, coarse = _integral_with_log_weight(fpsi, x_max, n_points=n_points)
+    if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
+        raise WindowError(f"pairing has imaginary residue {val.imag:.3e}")
+    return float(val.real), abs(float(val.real) - float(coarse.real))
 
-    if isinstance(psi, ShiftedProfile):
-        return _pair_log_fourier_profile(psi, n_points=n_points)
-    raise TypeError("psi must be a ParityFunction or ShiftedProfile")
-
-
-def _pair_log_fourier_profile(psi: ShiftedProfile, *, inner: float = 2.0,
-                              outer: float = 6.0, n_points: int = 4001,
-                              x_max: float = 60.0) -> tuple[float, float]:
-    """Near/far split pairing for a ShiftedProfile; see pair_log_fourier."""
-    def cutoff(y):
-        # 1 on [-inner, inner], 0 outside [-outer, outer], C-infinity.
-        t = (outer - np.abs(y)) / (outer - inner)
-        return cinf_step(t)
-
-    y = np.linspace(-outer, outer, 8193)
-    hy = y[1] - y[0]
-    near_vals = psi(y) * cutoff(y)
-
-    def f_near(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty(x.shape, dtype=complex)
-        for i in range(0, x.size, 512):
-            blk = x[i:i + 512]
-            phase = np.exp(2j * math.pi * np.outer(blk, y))
-            out[i:i + 512] = phase @ near_vals * hy
-        return out
-
-    near, coarse = _integral_with_log_weight(f_near, x_max, n_points=n_points)
-    if abs(near.imag) > 1e-8 * max(1.0, abs(near.real)):
-        raise WindowError(f"near pairing imaginary residue {near.imag:.3e}")
-
-    # Far part: |y| >= inner, where psi(y) = f(|1 - y|) with
-    # |1 - y| = 1 + t resp. t - 1 on the two tails (t = |y|); the
-    # homogeneous reduction has density -1/(2|y|).
-    u = np.linspace(math.log(inner) - 1e-9, 14.0, 8001)
-    hu = u[1] - u[0]
-    t = np.exp(u)
-    weight = 1.0 - cutoff(t)
-    fv = (psi.f(1.0 + t) + psi.f(np.maximum(t - 1.0, 1e-300))
-          * (t > 1.0 + 1e-12)) * weight
-    far = -0.5 * float(trapezoid(fv, hu))
-    value = float(near.real) + far
-    return value, abs(value - (float(coarse.real) + far))

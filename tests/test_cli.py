@@ -166,6 +166,15 @@ def test_cli_verify_every_parsable_function(tmp_path, monkeypatch, expr):
     assert "outputs" in report
 
 
+def test_cli_verify_logbump(tmp_path, monkeypatch):
+    monkeypatch.setenv("WEILTRACE_CACHE", str(tmp_path))
+    status, report = _run(tmp_path, "verify-explicit-formula",
+                          "--f", "logbump(1,0.5,2,1)", "--zeros", "auto:60",
+                          "--primes", "10000")
+    assert status == 0
+    assert report["outputs"]["residual"] <= report["outputs"]["total_budget"]
+
+
 @pytest.mark.parametrize("argv", [
     ("zeros", "--max-height", "150"),
     ("check-trace-lemma", "--f0", "loggauss(1,0,0.7)",

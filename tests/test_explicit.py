@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from weiltrace import (LogGaussian, TruncationSpec, W_infty, W_p,
-                       W_prime_total, archimedean_constant, cmul,
-                       pv_regularised, spectral_parts, spectral_side,
-                       verify_explicit_formula)
+from weiltrace import (DisagreementError, LogGaussian, TruncationSpec,
+                       W_infty, W_p, W_prime_total, archimedean_constant,
+                       cmul, digamma, pv_regularised, spectral_parts,
+                       spectral_side, verify_explicit_formula)
+from weiltrace import explicit
+from weiltrace.grids import trapezoid
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -49,6 +51,35 @@ def test_W_infty_routes_agree():
     value, est, disagreement = W_infty(f)
     assert disagreement < 1e-5
     assert est < 1e-5
+
+
+CRITERION_7 = (LogGaussian(1.0, 0.0, 1.0), LogGaussian(1.0, 0.5, 1.0),
+               LogGaussian(1.0, -0.4, 1.0))
+
+
+def _digamma_form_closed(f, r_max=40.0, n=40001):
+    # Weil's form from the closed-form Mellin transform, on its own grid
+    r, h = np.linspace(0.0, r_max, n, retstep=True)
+    m = f.mellin_closed(0.5 + 1j * r).real
+    w = math.log(math.pi) - digamma(0.25 + 0.5j * r).real
+    return float(trapezoid(m * w, h)) / math.pi
+
+
+def test_W_infty_is_the_digamma_form():
+    for f in CRITERION_7:
+        value, est, disagreement = W_infty(f)
+        assert all(type(x) is float for x in (value, est, disagreement))
+        assert abs(value - _digamma_form_closed(f)) < 1e-12
+        assert est < 1e-12
+        # the principal-value route, with its outer Richardson step
+        assert disagreement < 1e-7
+
+
+def test_W_infty_cross_check_can_fail(monkeypatch):
+    monkeypatch.setattr(explicit, "archimedean_constant",
+                        lambda: math.log(2 * math.pi) + EULER_GAMMA + 1e-3)
+    with pytest.raises(DisagreementError):
+        W_infty(LogGaussian(1.0, 0.0, 1.0))
 
 
 def test_spectral_parts_pole_closed_form(reference_zeros):

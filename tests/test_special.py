@@ -48,6 +48,21 @@ def test_digamma_oracle():
     assert digamma(3.7) == pytest.approx(1.16715353936151144, rel=1e-13)
 
 
+def test_digamma_array_is_elementwise():
+    z = np.array([0.25, 3.7, complex(0.25, 0.5), complex(0.25, 78.5),
+                  complex(-2.5, 0.1), complex(20.0, -3.0), -0.7])
+    values = digamma(z)
+    assert values.shape == z.shape
+    for zi, vi in zip(z, values):
+        scalar = digamma(complex(zi))
+        assert isinstance(scalar, complex)
+        assert abs(vi - scalar) <= 1e-15 * abs(scalar)
+    assert values[0] == pytest.approx(-4.22745353337626541, rel=1e-13)
+    assert values[1] == pytest.approx(1.16715353936151144, rel=1e-13)
+    with pytest.raises(PoleError):
+        digamma(np.array([1.0, -2.0]))
+
+
 def test_euler_gamma():
     assert EULER_GAMMA == pytest.approx(0.5772156649015328606, abs=1e-16)
 

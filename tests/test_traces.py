@@ -48,7 +48,7 @@ def test_commutator_trace_matches_dense_kernel():
     # traced against the weights
     grid = LogGridSpec(n_points=256, half_width=8.0)
     phi = build_phi(1.0)
-    x = np.exp(grid.u_grid())
+    x = np.exp(grid.u_grid()[0])
     w = grid.weights()
     p = phi(x)
     ratio = x[:, None] / x[None, :]

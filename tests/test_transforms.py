@@ -5,12 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weiltrace import (LogGaussian, ParityFunction, ShiftedProfile,
-                       WindowError, apply_J, fourier, fourier_quadrature,
-                       gaussian_even, gaussian_odd, haar_real_cross, mellin,
-                       mellin_parity, pair_log_fourier, DivergentIntegralError,
+from weiltrace import (LogGaussian, ParityFunction, WindowError, apply_J,
+                       fourier, fourier_quadrature, gaussian_even,
+                       gaussian_odd, haar_real_cross, mellin, mellin_parity,
+                       pair_log_fourier, DivergentIntegralError,
                        QuadratureSpec)
 from weiltrace.grids import trapezoid_with_coarse
+from weiltrace.transforms import mellin_critical_line
+
+LOG_GAUSSIANS = (LogGaussian(1.0, 0.3, 0.9), LogGaussian(1.0, 0.0, 1.0),
+                 LogGaussian(2.0, -0.5, 0.6))
 
 GRID = np.linspace(-4.0, 4.0, 81)
 
@@ -60,6 +64,24 @@ def test_mellin_loggaussian_closed_form():
         assert mv.value == pytest.approx(f.mellin_closed(s), abs=1e-12)
         assert abs(mv.value - f.mellin_closed(s)) <= max(
             4.0 * mv.est_error, 1e-12)
+
+
+def test_mellin_uses_the_exact_step():
+    # a step recomputed as u[1] - u[0] is off by ~3e-15, a relative
+    # error of ~1.6e-13 in every value
+    for f in LOG_GAUSSIANS:
+        for s in (0.0, 1.0, 2.0, complex(0.5, 3.0)):
+            want = f.mellin_closed(s)
+            assert abs(mellin(f, s).value - want) <= 1e-14 * abs(want)
+
+
+def test_mellin_critical_line_matches_closed_form():
+    for f in LOG_GAUSSIANS:
+        r, values = mellin_critical_line(f)
+        assert r[0] == 0.0 and values.size % 2 == 1
+        assert r[-1] == pytest.approx(math.pi / QuadratureSpec().u_grid()[1])
+        want = f.mellin_closed(0.5 + 1j * r)
+        assert np.max(np.abs(values - want)) < 1e-13
 
 
 def test_mellin_j_reflection():
@@ -113,14 +135,6 @@ def test_mellin_parity_divergence():
         mellin_parity(gaussian_even(), 0.0)
 
 
-def test_shifted_profile_even_extension():
-    f = LogGaussian(1.0, 0.0, 1.0)
-    psi = ShiftedProfile(f)
-    assert psi.at_zero() == pytest.approx(f(1.0))
-    assert psi(1.7) == pytest.approx(psi(0.3))   # symmetric about y = 1
-    assert psi(1.5) == pytest.approx(f(0.5))
-
-
 def test_pair_log_fourier_known_values():
     # <F(ln|x|), psi> for psi = 2exp(-pi x^2): equals -(gamma + ln 4pi)/2
     # per the classical Gaussian log-moment; frozen from the identity
@@ -138,14 +152,6 @@ def test_pair_log_fourier_known_values():
 
 def test_pair_log_fourier_odd_is_zero():
     assert pair_log_fourier(gaussian_odd()) == (0.0, 0.0)
-
-
-def test_profile_pairing_estimate_is_the_half_grid_pass():
-    psi = ShiftedProfile(LogGaussian(1.0, -0.5, 1.0))
-    value, est = pair_log_fourier(psi, n_points=4001)
-    coarse, _ = pair_log_fourier(psi, n_points=2001)
-    assert est > 1e-6
-    assert abs(est - abs(value - coarse)) <= 1e-12 * abs(value)
 
 
 def test_duality_on_vanishing_at_zero():
