@@ -45,9 +45,10 @@ _BERNOULLI_EVEN = (
 EULER_GAMMA = 0.5772156649015328606
 
 
-def _is_nonpositive_integer(s: complex, tol: float = 1e-12) -> bool:
-    return (abs(s.imag) < tol and s.real <= 0.5
-            and abs(s.real - round(s.real)) < tol)
+def _is_nonpositive_integer(s, tol: float = 1e-12):
+    """Whether s is within tol of 0, -1, -2, ...; elementwise on arrays."""
+    return ((abs(s.imag) < tol) & (s.real <= 0.5)
+            & (abs((s.real + 0.5) % 1.0 - 0.5) < tol))
 
 
 def gamma(s: complex) -> complex:
@@ -90,8 +91,7 @@ def digamma(z):
     arrays; a scalar argument gives a complex scalar."""
     scalar = np.ndim(z) == 0
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    pole = ((np.abs(z.imag) < 1e-12) & (z.real <= 0.5)
-            & (np.abs(z.real - np.round(z.real)) < 1e-12))
+    pole = _is_nonpositive_integer(z)
     if np.any(pole):
         raise PoleError(f"digamma pole at z = {z[pole][0]}")
     # Reflection: psi(1-z) - psi(z) = pi cot(pi z)

@@ -88,26 +88,32 @@ def mellin(f: TestFunction, s: complex, q: QuadratureSpec | None = None,
     return MellinValue(s=s, value=value, est_error=est + 10.0 * edge * h)
 
 
-def mellin_critical_line(f: TestFunction, q: QuadratureSpec | None = None,
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """(r, (M f)(1/2 + i r)) at r_k = 2 pi k / (m h), k = 0 .. n - 1,
-    where h is the step of q's n-point grid and m = 2 (n - 1), so r runs
-    up to pi / h.
+def mellin_critical_line(f: TestFunction,
+                         ) -> tuple[np.ndarray, np.ndarray, float]:
+    """(r, (M f)(1/2 + i r), trunc) at r_k = 2 pi k / (m h),
+    k = 0 .. n - 1, for an n-point grid of step h on the QuadratureSpec()
+    window and m = 2 (n - 1), so r runs up to pi / h.
 
     Every value is the trapezoid sum that ``mellin`` forms at
-    s = 1/2 + i r_k on the same grid; one FFT of length m gives them all
-    at once.  A window whose endpoints still carry mass raises
-    WindowError, as in ``mellin``.
+    s = 1/2 + i r_k on the same grid; one FFT of length m gives them all.
+    The step is halved, from QuadratureSpec()'s up to 64001 points
+    (log-Gaussians down to sigma ~ 0.01), while |M f(1/2 + i pi / h)|
+    exceeds 1e-13 of its peak.  As in ``mellin``, trunc = 10 edge h
+    bounds each value's window truncation, and WindowError is raised.
     """
-    if q is None:
-        q = QuadratureSpec()
-    u, h, g, _ = _window_samples(f, 0.5, q)
-    g[[0, -1]] *= 0.5
-    m = 2 * (u.size - 1)
-    r = np.arange(u.size) * (2.0 * math.pi / (m * h))
-    # ifft(g)[k] * m = sum_j g_j e^{2 pi i j k / m} = sum_j g_j e^{i r_k j h}
-    sums = np.fft.ifft(g, n=m)[:u.size] * m
-    return r, h * np.exp(1j * r * u[0]) * sums
+    q = QuadratureSpec()
+    while True:
+        u, h, g, edge = _window_samples(f, 0.5, q)
+        g[[0, -1]] *= 0.5
+        m = 2 * (u.size - 1)
+        r = np.arange(u.size) * (2.0 * math.pi / (m * h))
+        # ifft(g)[k] * m = sum_j g_j e^{2 pi i j k / m} (= e^{i r_k j h})
+        sums = np.fft.ifft(g, n=m)[:u.size] * m
+        values = h * np.exp(1j * r * u[0]) * sums
+        if (abs(values[-1]) <= 1e-13 * np.max(np.abs(values))
+                or q.n_points >= 64001):
+            return r, values, float(10.0 * edge * h)
+        q = QuadratureSpec(n_points=2 * q.n_points - 1)
 
 
 def _window_samples(f, s: complex, q: QuadratureSpec):

@@ -175,6 +175,24 @@ def test_cli_verify_logbump(tmp_path, monkeypatch):
     assert report["outputs"]["residual"] <= report["outputs"]["total_budget"]
 
 
+@pytest.mark.parametrize("expr", ["loggauss(1,0,0.04)", "loggauss(1,0.5,0.03)",
+                                  "loggauss(1,0,0.02)",
+                                  "loggauss(1,0.5,0.015)"])
+def test_cli_verify_narrow_log_gaussian(tmp_path, monkeypatch, expr):
+    # The zeros above height 60 still matter for these widths, so the
+    # budget exceeds the tolerance (exit 1); the archimedean routes agree.
+    monkeypatch.setenv("WEILTRACE_CACHE", str(tmp_path))
+    status, report = _run(tmp_path, "verify-explicit-formula",
+                          "--f", expr, "--zeros", "auto:60",
+                          "--primes", "10000")
+    assert status == 1
+    outputs = report["outputs"]
+    assert "error" not in outputs
+    assert outputs["residual"] <= outputs["total_budget"]
+    assert outputs["budgets"]["route_disagreement"] < 1e-9
+    assert outputs["budgets"]["archimedean_quadrature"] < 2e-9
+
+
 @pytest.mark.parametrize("argv", [
     ("zeros", "--max-height", "150"),
     ("check-trace-lemma", "--f0", "loggauss(1,0,0.7)",

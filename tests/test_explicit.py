@@ -72,7 +72,20 @@ def test_W_infty_is_the_digamma_form():
         assert abs(value - _digamma_form_closed(f)) < 1e-12
         assert est < 1e-12
         # the principal-value route, with its outer Richardson step
-        assert disagreement < 1e-7
+        assert disagreement < 1e-9
+
+
+@pytest.mark.parametrize("mu, sigma", [(0.0, 0.04), (0.5, 0.03),
+                                       (0.0, 0.02), (0.5, 0.015)])
+def test_W_infty_narrow_log_gaussians(mu, sigma):
+    # |M f(1/2 + i r)| ~ exp(-sigma^2 r^2 / 2) is not negligible at the
+    # default grid's last height pi / h ~ 157, so the FFT grid refines
+    f = LogGaussian(1.0, mu, sigma)
+    value, est, disagreement = W_infty(f)
+    want = _digamma_form_closed(f, r_max=9.0 / sigma, n=90001)
+    assert abs(value - want) < 1e-12 * max(1.0, abs(value))
+    assert est < 1e-11
+    assert disagreement < 1e-9
 
 
 def test_W_infty_cross_check_can_fail(monkeypatch):

@@ -77,11 +77,24 @@ def test_mellin_uses_the_exact_step():
 
 def test_mellin_critical_line_matches_closed_form():
     for f in LOG_GAUSSIANS:
-        r, values = mellin_critical_line(f)
+        r, values, trunc = mellin_critical_line(f)
         assert r[0] == 0.0 and values.size % 2 == 1
         assert r[-1] == pytest.approx(math.pi / QuadratureSpec().u_grid()[1])
+        assert type(trunc) is float and trunc < 1e-300
         want = f.mellin_closed(0.5 + 1j * r)
         assert np.max(np.abs(values - want)) < 1e-13
+
+
+def test_mellin_critical_line_refines_for_narrow_functions():
+    # sigma = 0.02: |M f| at the default grid's pi / h is ~1e-2 of its
+    # peak; two halvings of the step bring it below 1e-13
+    f = LogGaussian(1.0, 0.3, 0.02)
+    r, values, _ = mellin_critical_line(f)
+    assert r[-1] == pytest.approx(4.0 * math.pi
+                                  / QuadratureSpec().u_grid()[1])
+    assert abs(values[-1]) <= 1e-13 * np.max(np.abs(values))
+    want = f.mellin_closed(0.5 + 1j * r)
+    assert np.max(np.abs(values - want)) < 1e-13
 
 
 def test_mellin_j_reflection():
