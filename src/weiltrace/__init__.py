@@ -29,7 +29,7 @@ from .operators import (DirichletCharacter, TruncationSpec, apply_L_chi,
                         mobius_up_to, poisson_check, primes_up_to,
                         primitive_characters, twisted_poisson_check,
                         zspectral_check)
-from .explicit import (ExplicitFormulaReport, W_infty, W_p, W_prime_total,
+from .explicit import (ExplicitFormulaReport, W_infty, W_prime_total,
                        archimedean_constant, pv_regularised, spectral_parts,
                        spectral_side, verify_explicit_formula)
 from .traces import (AuxiliaryPhi, LogGridSpec, build_phi, commutator_trace,

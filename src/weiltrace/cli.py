@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Every command writes a single JSON report (inputs echoed, outputs with
-their error estimates, wall time) to ``--out`` or stdout.  Exit status:
+their error estimates, wall time, seconds per stage and work counts) to
+``--out`` or stdout; ``-v`` also prints the stages and work counts as a
+table on stderr.  Exit status:
 
 * 0 — all residuals within their declared tolerances
 * 1 — tolerance failure
@@ -22,6 +24,7 @@ import os
 import sys
 import time
 
+from . import stages
 from .errors import (ConfigError, DisagreementError, DomainError,
                      TableParseError, ToleranceError, WeiltraceError)
 from .exprs import format_function, parse_function
@@ -334,6 +337,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 def run(cfg: RunConfig) -> tuple[int, dict]:
     """Execute one command; returns (exit_status, report_dict)."""
     start = time.perf_counter()
+    stages.reset()
     inputs = {k: v for k, v in cfg.items()
               if k not in ("out", "verbose") and v is not None}
     try:
@@ -354,8 +358,21 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
         "outputs": _jsonable(outputs),
         "passed": ok,
         "wall_time_s": time.perf_counter() - start,
+        "timings": dict(stages.TIMINGS),
+        "work": _jsonable(stages.WORK),
     }
     return status, report
+
+
+def _stage_table(report: dict) -> str:
+    """The report's stage seconds, wall time and work counts as text."""
+    rows = [("stage", "seconds")]
+    rows += [(k, f"{v:.6f}") for k, v in report.get("timings", {}).items()]
+    rows += [("wall_time_s", f"{report.get('wall_time_s', 0.0):.6f}"),
+             ("work", "count")]
+    rows += [(k, str(v)) for k, v in report.get("work", {}).items()]
+    width = max(len(k) for k, _ in rows)
+    return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
 
 
 def main(argv=None) -> int:
@@ -372,13 +389,21 @@ def main(argv=None) -> int:
         status = EXIT_CONFIG
     text = json.dumps(report, indent=2)
     out = getattr(args, "out", None)
+    verbose = getattr(args, "verbose", 0)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
-        if getattr(args, "verbose", 0):
+    try:
+        if verbose or not out:
             print(text)
-    else:
-        print(text)
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (e.g. `| head`): send the rest of
+        # stdout, and Python's flush at exit, to devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+    if verbose:
+        print(_stage_table(report), file=sys.stderr)
     return status
 
 

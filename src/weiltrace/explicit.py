@@ -3,9 +3,10 @@
 The identity checked here is
     sum_z ord(z) (M f)(z) = sum_p W_p(f) + W_inf(f),
 where z runs over the poles (order +1 at 0 and 1) and critical-line
-zeros (order -1 each) of the completed zeta function, W_p collects the
-prime-power terms ln(p) [f(p^e) + p^{-e} f(p^{-e})], and W_inf is the
-archimedean local term.
+zeros (order -1 each) of the completed zeta function, the local term
+W_p(f) = ln(p) sum_e [f(p^e) + p^{-e} f(p^{-e})] collects the powers of
+the prime p, and W_inf is the archimedean local term.  The prime side
+is summed over all primes at once, one numpy pass per exponent e.
 
 W_inf is computed by two genuinely different routes:
   * Weil's digamma form (primary),
@@ -33,6 +34,7 @@ from .families import TestFunction
 from .grids import QuadratureSpec, trapezoid, trapezoid_with_coarse
 from .operators import TruncationSpec, primes_up_to
 from .special import EULER_GAMMA, digamma
+from .stages import WORK, stage
 from .transforms import mellin, mellin_critical_line
 from .zeros import ZeroTable
 
@@ -43,27 +45,13 @@ from .zeros import ZeroTable
 _PV_INNER_POINTS = 8193
 _PV_OUTER_POINTS = 24001
 _CROSS_CHECK_TOL = 1e-5
+# ln(1e308): W_prime_total's largest prime power.
+_LOG_MAX_POWER = 308.0 * math.log(10.0)
 
 
 def _mellin_value(f, s: complex, q: QuadratureSpec | None = None) -> complex:
     closed = f.mellin_closed(s) if isinstance(f, TestFunction) else None
     return mellin(f, s, q).value if closed is None else complex(closed)
-
-
-def W_p(f, p: int, tr: TruncationSpec | None = None) -> float:
-    """Prime-local term ln(p) sum_e [f(p^e) + p^{-e} f(p^{-e})]."""
-    tr = tr or TruncationSpec()
-    lp = math.log(p)
-    total = 0.0
-    for e in range(1, tr.e_max + 1):
-        pe = float(p) ** e
-        if not math.isfinite(pe):
-            break
-        term = f(pe) + f(1.0 / pe) / pe
-        total += term
-        if pe > 1e6 and abs(term) < 1e-302:
-            break
-    return lp * total
 
 
 def _prime_tail_bound(f, p_from: float, *, n_grid: int = 2001) -> float:
@@ -87,12 +75,29 @@ def _prime_tail_bound(f, p_from: float, *, n_grid: int = 2001) -> float:
 
 def W_prime_total(f, tr: TruncationSpec | None = None,
                   ) -> tuple[float, float]:
-    """(sum of W_p over p <= p_max, certified tail bound)."""
+    """(sum over p <= p_max of ln(p) sum_e [f(p^e) + p^{-e} f(p^{-e})],
+    certified tail bound), in one numpy pass per exponent e <= e_max.
+
+    Each pass keeps the primes with p^e <= 1e308 (below the float
+    maximum with room for rounding), so p^e stays finite and p^{-e}
+    positive; the primes are sorted, so the kept ones are a prefix, and
+    the passes stop when it is empty.
+    """
     tr = tr or TruncationSpec()
-    total = 0.0
-    for p in primes_up_to(tr.p_max):
-        total += W_p(f, p, tr)
-    return total, _prime_tail_bound(f, float(tr.p_max))
+    p = np.asarray(primes_up_to(tr.p_max), dtype=float)
+    lp = np.log(p)
+    total = np.zeros_like(p)
+    powers = 0
+    for e in range(1, tr.e_max + 1):
+        n = int(np.searchsorted(lp, _LOG_MAX_POWER / e, side="right"))
+        if n == 0:
+            break
+        pe = p[:n] ** e
+        total[:n] += f(pe) + f(1.0 / pe) / pe
+        powers += n
+    WORK["primes"] = p.size
+    WORK["prime_powers"] = powers
+    return float(np.sum(lp * total)), _prime_tail_bound(f, float(tr.p_max))
 
 
 def _richardson(vals: np.ndarray, h: float) -> float:
@@ -108,7 +113,10 @@ def pv_regularised(f) -> float:
                          + 2 f(1) ln(eps) ],
     where f~ is the even extension of f; computed in the subtracted
     form (no explicit eps) as an inner integral over |1-x| <= 1 and an
-    outer one over |1-x| = e^u, u >= 0, each with one Richardson step."""
+    outer one over x = 1 + e^u, u >= 0, each with one Richardson step,
+    plus the even extension's part over x <= 0, which is exactly
+    integral_0^inf f(x) / (1 + x) dx, taken in v = ln x so that mass near
+    x = 0 is resolved (the integrand vanishes at both ends of v)."""
     t, h = np.linspace(0.0, 1.0, _PV_INNER_POINTS, retstep=True)
     vals = np.empty_like(t)
     vals[0] = 0.0
@@ -116,9 +124,12 @@ def pv_regularised(f) -> float:
     vals[1:] = (f(np.maximum(1.0 - tm, 1e-300)) + f(1.0 + tm)
                 - 2.0 * f(1.0)) / tm
     u, h_out = np.linspace(0.0, 60.0, _PV_OUTER_POINTS, retstep=True)
-    t = np.exp(u)
-    outer_vals = f(1.0 + t) + np.where(t > 1.0, f(np.maximum(t - 1.0, 1e-300)), 0.0)
-    return _richardson(vals, h) + _richardson(outer_vals, h_out)
+    v, h_ext = np.linspace(-60.0, 60.0, _PV_OUTER_POINTS, retstep=True)
+    x = np.exp(v)
+    reflected = float(trapezoid(f(x) * x / (1.0 + x), h_ext))
+    WORK["pv_points"] = [t.size, u.size, v.size]
+    return _richardson(vals, h) + _richardson(f(1.0 + np.exp(u)), h_out) \
+        + reflected
 
 
 def archimedean_constant() -> float:
@@ -165,6 +176,7 @@ def spectral_parts(f, zt: ZeroTable, q: QuadratureSpec | None = None,
     poles = _mellin_value(f, 0.0, q) + _mellin_value(f, 1.0, q)
     zero_sum = 0.0 + 0.0j
     sens = 0.0
+    WORK["zeros_summed"] = len(zt.ordinates)
     for g in zt.ordinates:
         mv = _mellin_value(f, complex(0.5, g), q)
         zero_sum += 2.0 * mv.real
@@ -249,10 +261,13 @@ def verify_explicit_formula(f, zt: ZeroTable,
     the accumulated error budget. BudgetExceededError when the residual
     is larger than the budget can explain."""
     tr = tr or TruncationSpec()
-    poles, zero_sum, spec_bound = spectral_parts(f, zt, q)
+    with stage("spectral"):
+        poles, zero_sum, spec_bound = spectral_parts(f, zt, q)
+    with stage("primes"):
+        prime_val, prime_bound = W_prime_total(f, tr)
+    with stage("archimedean"):
+        arch_val, arch_est, arch_dis = W_infty(f)
     spec_val = poles - zero_sum
-    prime_val, prime_bound = W_prime_total(f, tr)
-    arch_val, arch_est, arch_dis = W_infty(f)
     residual = abs(spec_val - prime_val - arch_val)
     budgets = {
         "zero_tail_and_precision": spec_bound,

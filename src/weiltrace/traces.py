@@ -29,6 +29,7 @@ import numpy as np
 from .errors import WindowError
 from .grids import cinf_step, trapezoid
 from .operators import TruncationSpec, mobius_up_to, primes_up_to
+from .stages import WORK, stage
 
 
 @dataclass(frozen=True)
@@ -146,8 +147,10 @@ def trace_rhs(f0, f1, *, n_points: int = 30001,
 def toeplitz_trace_check(f0, f1, phi: AuxiliaryPhi,
                          grid: LogGridSpec | None = None) -> float:
     """Residual |tr(conv(f0) [M_phi, conv(f1)]) - tau(f0 * d f1)|."""
-    trace = commutator_trace(f0, f1, phi, grid or LogGridSpec())
-    return abs(trace - trace_rhs(f0, f1))
+    grid = grid or LogGridSpec()
+    WORK["trace_n"] = grid.n_points
+    with stage("trace"):
+        return abs(commutator_trace(f0, f1, phi, grid) - trace_rhs(f0, f1))
 
 
 # ---------------------------------------------------------------------------

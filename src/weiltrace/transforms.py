@@ -23,6 +23,7 @@ import numpy as np
 from .errors import DivergentIntegralError, WindowError
 from .families import ParityFunction, TestFunction
 from .grids import QuadratureSpec, trapezoid, trapezoid_with_coarse
+from .stages import WORK
 
 
 def fourier(f: ParityFunction) -> ParityFunction:
@@ -112,6 +113,7 @@ def mellin_critical_line(f: TestFunction,
         values = h * np.exp(1j * r * u[0]) * sums
         if (abs(values[-1]) <= 1e-13 * np.max(np.abs(values))
                 or q.n_points >= 64001):
+            WORK["fft_length"] = m
             return r, values, float(10.0 * edge * h)
         q = QuadratureSpec(n_points=2 * q.n_points - 1)
 

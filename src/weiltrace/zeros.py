@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .errors import CountMismatchError, OrderViolationError, TableParseError
 from .special import hardy_z, zero_count_estimate
+from .stages import stage
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,7 @@ class ZeroTable:
         return len(self.ordinates)
 
 
+@stage("find_zeros")
 def find_zeros(height_bound: float, *, precision: float = 1e-9,
                scan_step: float = 0.05) -> ZeroTable:
     """All zero ordinates in (0, height_bound], by Z-function bisection.

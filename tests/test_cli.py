@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -191,6 +194,62 @@ def test_cli_verify_narrow_log_gaussian(tmp_path, monkeypatch, expr):
     assert outputs["residual"] <= outputs["total_budget"]
     assert outputs["budgets"]["route_disagreement"] < 1e-9
     assert outputs["budgets"]["archimedean_quadrature"] < 2e-9
+
+
+@pytest.mark.parametrize("expr", ["loggauss(1,-5,1)", "loggauss(1,-4,0.15)"])
+def test_cli_verify_mass_near_zero(tmp_path, monkeypatch, expr):
+    # f's mass near x = 0 used to make the archimedean routes disagree
+    monkeypatch.setenv("WEILTRACE_CACHE", str(tmp_path))
+    status, report = _run(tmp_path, "verify-explicit-formula",
+                          "--f", expr, "--zeros", "auto:60",
+                          "--primes", "10000")
+    assert status == 0
+    assert report["outputs"]["budgets"]["route_disagreement"] < 1e-6
+
+
+def test_cli_stage_timings_and_work(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("WEILTRACE_CACHE", str(tmp_path))
+    status, report = _run(tmp_path, "verify-explicit-formula",
+                          "--f", "loggauss(1,0,1)", "--zeros", "auto:60",
+                          "--primes", "10000", "-v")
+    assert status == 0
+    timings, work = report["timings"], report["work"]
+    assert set(timings) == {"find_zeros", "spectral", "primes",
+                            "archimedean"}
+    assert sum(timings.values()) <= report["wall_time_s"]
+    assert work["primes"] == 1229
+    table = tmp_path / "zeros_auto_60.txt"
+    zeros = [line for line in table.read_text().splitlines()
+             if line and not line.startswith("#")]
+    assert work["zeros_summed"] == len(zeros) == 13
+    err = capsys.readouterr().err
+    assert "archimedean" in err and "prime_powers" in err
+    # a cached table is not recomputed, and the stages start from zero
+    _, again = _run(tmp_path, "verify-explicit-formula",
+                    "--f", "loggauss(1,0,1)", "--zeros", "auto:60",
+                    "--primes", "10000")
+    assert "find_zeros" not in again["timings"]
+    assert sum(again["timings"].values()) <= again["wall_time_s"]
+
+    status, report = _run(tmp_path, "check-trace-lemma",
+                          "--f0", "loggauss(1,0,0.7)",
+                          "--f1", "loggauss(1,0.3,0.9)", "--n", "1024")
+    assert status == 0
+    assert list(report["timings"]) == ["trace"]
+    assert report["timings"]["trace"] <= report["wall_time_s"]
+    assert report["work"] == {"trace_n": 1024}
+
+
+def test_cli_closed_pipe_no_traceback():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "weiltrace.cli", "zeros", "--max-height", "60"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()         # the reader is gone before any output
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 0
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from weiltrace import (DisagreementError, LogGaussian, TruncationSpec,
-                       W_infty, W_p, W_prime_total, archimedean_constant,
-                       cmul, digamma, pv_regularised, spectral_parts,
-                       spectral_side, verify_explicit_formula)
+from weiltrace import (BudgetExceededError, DisagreementError, LogGaussian,
+                       TruncationSpec, W_infty, W_prime_total,
+                       archimedean_constant, cmul, digamma, find_zeros,
+                       parse_function, primes_up_to, pv_regularised,
+                       spectral_parts, spectral_side,
+                       verify_explicit_formula)
 from weiltrace import explicit
 from weiltrace.grids import trapezoid
 
@@ -14,17 +16,31 @@ EULER_GAMMA = 0.5772156649015328606
 
 
 def _wp_direct(f, p, e_max=60):
-    total = 0.0
-    for e in range(1, e_max + 1):
-        pe = float(p) ** e
-        total += f(pe) + f(1.0 / pe) / pe
-    return math.log(p) * total
+    # ln(p) sum_e [f(p^e) + f(p^-e) / p^e], the powers by Python's pow
+    pe = np.array([float(p) ** e for e in range(1, e_max + 1)])
+    return math.log(p) * math.fsum(f(pe) + f(1.0 / pe) / pe)
 
 
-def test_W_p_against_direct_sum():
-    f = LogGaussian(1.0, 0.0, 1.0)
-    for p in (2, 3, 5, 97):
-        assert W_p(f, p) == pytest.approx(_wp_direct(f, p), abs=1e-14)
+def test_W_prime_total_against_direct_sum():
+    # the vectorised prime side against per-prime sums over every prime
+    for f in (LogGaussian(1.0, -0.5, 1.0), LogGaussian(1.0, 0.3, 0.15),
+              LogGaussian(2.0, 0.3, 0.012),
+              parse_function("logbump(1,0.5,2,1)")):
+        direct = math.fsum(_wp_direct(f, p)
+                           for p in primes_up_to(TruncationSpec().p_max))
+        value, _ = W_prime_total(f)
+        assert abs(value - direct) < 1e-14
+
+
+def test_prime_side_needs_every_prime(monkeypatch):
+    # negative control: without p = 2 the formula no longer closes
+    f = LogGaussian(1.0, 0.3, 0.15)
+    zt = find_zeros(120.0)
+    verify_explicit_formula(f, zt)
+    monkeypatch.setattr(explicit, "primes_up_to",
+                        lambda n: primes_up_to(n)[1:])
+    with pytest.raises(BudgetExceededError):
+        verify_explicit_formula(f, zt)
 
 
 def test_W_prime_total_tail_honest():
@@ -86,6 +102,14 @@ def test_W_infty_narrow_log_gaussians(mu, sigma):
     assert abs(value - want) < 1e-12 * max(1.0, abs(value))
     assert est < 1e-11
     assert disagreement < 1e-9
+
+
+@pytest.mark.parametrize("sigma", [0.15, 1.0])
+@pytest.mark.parametrize("mu", [-7.0, -5.0, -3.0, 0.0, 3.0, 7.0])
+def test_W_infty_routes_agree_off_centre(mu, sigma):
+    # the principal-value route resolves mass near x = 0 and far out
+    _, _, disagreement = W_infty(LogGaussian(1.0, mu, sigma))
+    assert disagreement < 1e-6
 
 
 def test_W_infty_cross_check_can_fail(monkeypatch):
