@@ -18,6 +18,7 @@ A plain-text config file of ``key = value`` lines may be supplied with
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -275,7 +276,9 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process; parse_args never changes the parser."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="plain-text key=value config file")
     common.add_argument("--out", help="report output path (default stdout)")

@@ -194,6 +194,8 @@ def characters(d: int) -> list[DirichletCharacter]:
     The order enumerates exponent tuples against the unit-group
     generators lexicographically, so index 0 is always principal.
     """
+    if d < 1:
+        raise ValueError("modulus must be a positive integer")
     gens = _unit_group_generators(d)
     # Discrete logs of every unit against the generator list.
     units = [n for n in range(d) if math.gcd(n, d) == 1]
@@ -288,6 +290,8 @@ def _parity_tail_bound(f: ParityFunction, x: float, n_from: int) -> float:
 def _term_cap(f, x: float, tr: TruncationSpec) -> int:
     """Smallest N with a certified tail bound sum_{n > N} |f(n x)| below
     tr.tail_tol; TailBoundError when no N <= n_max certifies."""
+    if not (x > 0.0 and math.isfinite(x)):
+        raise ValueError("x must be positive and finite")
     if isinstance(f, ParityFunction):
         peak = max(math.sqrt(max(k, 1) / (2.0 * a * math.pi))
                    for _, k, a in f.terms)

@@ -1,8 +1,9 @@
 """Special functions: Gamma, digamma, zeta, Hurwitz zeta, the completed
 zeta function, Dirichlet L-functions, and the Hardy Z-function.
 
-All are scalar except digamma, which is elementwise on arrays because
-the archimedean term integrates it along a whole line.
+All but xi, L and Lambda are elementwise on numpy arrays, through the
+same code as for a scalar, which gives a Python complex (a float for
+theta, the zero count and Z): a whole zero-scan grid is one Z call.
 
 Everything here is self-contained binary64 arithmetic: Gamma by the
 Lanczos approximation, zeta and Hurwitz zeta by Euler-Maclaurin with
@@ -51,39 +52,46 @@ def _is_nonpositive_integer(s, tol: float = 1e-12):
             & (abs((s.real + 0.5) % 1.0 - 0.5) < tol))
 
 
-def gamma(s: complex) -> complex:
-    """Gamma(s) by Lanczos, with reflection for Re s < 1/2."""
-    s = complex(s)
-    if _is_nonpositive_integer(s):
-        raise PoleError(f"Gamma pole at s = {s}")
-    if s.real < 0.5:
-        # Gamma(s) Gamma(1-s) = pi / sin(pi s)
-        return math.pi / (cmath.sin(math.pi * s) * gamma(1.0 - s))
-    z = s - 1.0
+def _lanczos(z):
+    """Lanczos sum and shifted point (a, t) for Gamma(z + 1)."""
     a = _LANCZOS[0]
     for i, c in enumerate(_LANCZOS[1:], start=1):
         a += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * a
+    return a, z + _LANCZOS_G + 0.5
 
 
-def loggamma(s: complex) -> complex:
+def gamma(s):
+    """Gamma(s) by Lanczos, with reflection for Re s < 1/2."""
+    scalar = np.ndim(s) == 0
+    s = np.atleast_1d(np.asarray(s, dtype=complex))
+    pole = _is_nonpositive_integer(s)
+    if np.any(pole):
+        raise PoleError(f"Gamma pole at s = {s[pole][0]}")
+    # Gamma(s) Gamma(1-s) = pi / sin(pi s)
+    left = s.real < 0.5
+    z = np.where(left, 1.0 - s, s) - 1.0
+    a, t = _lanczos(z)
+    out = math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * np.exp(-t) * a
+    out[left] = math.pi / (np.sin(math.pi * s[left]) * out[left])
+    return complex(out[0]) if scalar else out
+
+
+def loggamma(s):
     """log Gamma(s) for Re s > 0, principal-branch Lanczos logs.
 
     Continuous for moderate |Im s| in the right half plane; callers that
     need a globally continuous branch (the Riemann-Siegel theta) only use
     it for small imaginary parts.
     """
-    s = complex(s)
-    if s.real <= 0.0:
+    scalar = np.ndim(s) == 0
+    s = np.atleast_1d(np.asarray(s, dtype=complex))
+    if np.any(s.real <= 0.0):
         raise PoleError("loggamma implemented for Re s > 0 only")
     z = s - 1.0
-    a = _LANCZOS[0]
-    for i, c in enumerate(_LANCZOS[1:], start=1):
-        a += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return (0.5 * math.log(2.0 * math.pi) + (z + 0.5) * cmath.log(t) - t
-            + cmath.log(a))
+    a, t = _lanczos(z)
+    out = (0.5 * math.log(2.0 * math.pi) + (z + 0.5) * np.log(t) - t
+           + np.log(a))
+    return complex(out[0]) if scalar else out
 
 
 def digamma(z):
@@ -113,13 +121,16 @@ def digamma(z):
     return complex(out[0]) if scalar else out
 
 
-def zeta_tail(n_start: int, s: complex, n_bernoulli: int = 12) -> complex:
-    """Euler-Maclaurin estimate of sum_{n > N} n^{-s} (N = n_start).
+def zeta_tail(n_start, s, n_bernoulli: int = 12):
+    """Euler-Maclaurin estimate of sum_{n > N} n^{-s} (N = n_start, also
+    a non-integer: then over N + 1, N + 2, ...), elementwise in N and s.
 
     Valid to ~1e-14 once N >~ |Im s| / 2; exposed so callers can pair a
     plain partial sum with an independent truncation point.
     """
-    big_n = float(n_start)
+    scalar = np.ndim(n_start) == 0 and np.ndim(s) == 0
+    big_n = np.asarray(n_start, dtype=float)
+    s = np.asarray(s, dtype=complex)
     out = big_n ** (1.0 - s) / (s - 1.0) - 0.5 * big_n ** (-s)
     poch = s  # s (s+1) ... rising
     power = big_n ** (-s - 1.0)
@@ -127,45 +138,56 @@ def zeta_tail(n_start: int, s: complex, n_bernoulli: int = 12) -> complex:
     for k in range(1, n_bernoulli + 1):
         fact *= (2.0 * k - 1.0) * (2.0 * k)
         out += _BERNOULLI_EVEN[k - 1] / fact * poch * power
-        poch *= (s + (2.0 * k - 1.0)) * (s + 2.0 * k)
+        poch = poch * (s + (2.0 * k - 1.0)) * (s + 2.0 * k)
         power /= big_n * big_n
-    return out
+    return complex(out) if scalar else out
 
 
-def zeta(s: complex) -> complex:
+def _euler_maclaurin(s, a) -> np.ndarray:
+    """sum_{n >= 0} (n + a)^{-s} over the broadcast of s and a: each
+    element's first N = max(20, ceil|Im s|) terms exp(-s ln(n + a)),
+    formed 256 arguments by 256 indices at a time, then zeta_tail."""
+    shape = np.broadcast_shapes(np.shape(s), np.shape(a))
+    s, a = (np.broadcast_to(x, shape).ravel() for x in (s, a))
+    n_terms = np.maximum(20, np.ceil(np.abs(s.imag))).astype(np.int64)
+    partial = np.zeros(s.shape, dtype=complex)
+    order = np.argsort(n_terms, kind="stable")
+    for start in range(0, s.size, 256):
+        sel = order[start:start + 256]
+        cap = n_terms[sel, None]
+        top = int(cap.max())
+        for n0 in range(0, top, 256):
+            n = np.arange(n0, min(n0 + 256, top))
+            terms = np.exp(-s[sel, None] * np.log(n + a[sel, None]))
+            partial[sel] += np.where(n < cap, terms, 0.0).sum(axis=1)
+    return (partial + zeta_tail(n_terms - 1 + a, s)).reshape(shape)
+
+
+def zeta(s):
     """Riemann zeta by Euler-Maclaurin; reflection for Re s < 0."""
-    s = complex(s)
-    if abs(s - 1.0) < 1e-12:
+    scalar = np.ndim(s) == 0
+    s = np.atleast_1d(np.asarray(s, dtype=complex))
+    if np.any(np.abs(s - 1.0) < 1e-12):
         raise PoleError("zeta pole at s = 1")
-    if s.real < 0.0:
-        # zeta(s) = 2^s pi^(s-1) sin(pi s / 2) Gamma(1-s) zeta(1-s)
-        return (2.0 ** s * math.pi ** (s - 1.0) * cmath.sin(math.pi * s / 2.0)
-                * gamma(1.0 - s) * zeta(1.0 - s))
-    n_terms = max(20, math.ceil(abs(s.imag)))
-    partial = sum(n ** (-s) for n in range(1, n_terms + 1))
-    return partial + zeta_tail(n_terms, s)
+    # zeta(s) = 2^s pi^(s-1) sin(pi s / 2) Gamma(1-s) zeta(1-s)
+    left = s.real < 0.0
+    out = _euler_maclaurin(np.where(left, 1.0 - s, s), 1.0)
+    sl = s[left]
+    out[left] *= (2.0 ** sl * math.pi ** (sl - 1.0)
+                  * np.sin(math.pi * sl / 2.0) * gamma(1.0 - sl))
+    return complex(out[0]) if scalar else out
 
 
-def hurwitz_zeta(s: complex, a: float) -> complex:
+def hurwitz_zeta(s, a):
     """zeta(s, a) = sum (n + a)^{-s}, 0 < a <= 1, by Euler-Maclaurin."""
-    s = complex(s)
-    if abs(s - 1.0) < 1e-12:
+    scalar = np.ndim(s) == 0 and np.ndim(a) == 0
+    s, a = np.asarray(s, dtype=complex), np.asarray(a, dtype=float)
+    if np.any(np.abs(s - 1.0) < 1e-12):
         raise PoleError("Hurwitz zeta pole at s = 1")
-    if not 0.0 < a <= 1.0:
+    if not np.all((0.0 < a) & (a <= 1.0)):
         raise ValueError("need 0 < a <= 1")
-    n_terms = max(20, math.ceil(abs(s.imag)))
-    partial = sum((n + a) ** (-s) for n in range(n_terms))
-    big = n_terms - 1 + a
-    out = partial + big ** (1.0 - s) / (s - 1.0) - 0.5 * big ** (-s)
-    poch = s
-    power = big ** (-s - 1.0)
-    fact = 1.0
-    for k in range(1, 13):
-        fact *= (2.0 * k - 1.0) * (2.0 * k)
-        out += _BERNOULLI_EVEN[k - 1] / fact * poch * power
-        poch *= (s + (2.0 * k - 1.0)) * (s + 2.0 * k)
-        power /= big * big
-    return out
+    out = _euler_maclaurin(s, a)
+    return complex(out) if scalar else out
 
 
 @dataclass(frozen=True)
@@ -203,12 +225,10 @@ def l_chi(chi, s: complex) -> complex:
     if abs(s - 1.0) < 1e-12:
         eps = 1e-5
         return 0.5 * (l_chi(chi, s + eps) + l_chi(chi, s - eps))
-    total = 0.0 + 0.0j
-    for a in range(1, d + 1):
-        ca = chi.value(a)
-        if ca != 0:
-            total += ca * hurwitz_zeta(s, a / d)
-    return d ** (-s) * total
+    values = np.array([chi.value(a) for a in range(1, d + 1)], dtype=complex)
+    a = np.flatnonzero(values) + 1
+    total = np.sum(values[a - 1] * hurwitz_zeta(s, a / d))
+    return d ** (-s) * complex(total)
 
 
 def lambda_chi(chi, s: complex) -> complex:
@@ -224,31 +244,36 @@ def lambda_chi(chi, s: complex) -> complex:
             * l_chi(chi, s))
 
 
-def rs_theta(t: float) -> float:
+def rs_theta(t):
     """Riemann-Siegel theta: arg Gamma(1/4 + it/2) - (t/2) ln pi,
-    continuous in t.
+    continuous and odd in t.
 
     Computed through the Lanczos log-Gamma: on the vertical line
     Re = 1/4 the shifted argument stays in the right half-plane and the
     rational prefactor never winds, so the principal branch is already
     the continuous one at every height used here.
     """
-    if t < 0:
-        return -rs_theta(-t)
-    return loggamma(0.25 + 0.5j * t).imag - 0.5 * t * math.log(math.pi)
+    a = np.abs(np.atleast_1d(np.asarray(t, dtype=float)))
+    out = np.sign(t) * (loggamma(0.25 + 0.5j * a).imag
+                        - 0.5 * a * math.log(math.pi))
+    return float(out[0]) if np.ndim(t) == 0 else out
 
 
-def zero_count_estimate(t: float) -> float:
+def zero_count_estimate(t):
     """Riemann-von Mangoldt estimate N(T) ~ theta(T)/pi + 1."""
     return rs_theta(t) / math.pi + 1.0
 
 
-def hardy_z(t: float, *, imag_tol: float = 1e-9) -> float:
-    """Hardy Z(t) = e^{i theta(t)} zeta(1/2 + it); real by construction."""
-    if abs(t) > 120.0:
+def hardy_z(t, *, imag_tol: float = 1e-9):
+    """Hardy Z(t) = e^{i theta(t)} zeta(1/2 + it); real by construction.
+    One zeta call for the whole array t; a scalar t gives a float."""
+    scalar = np.ndim(t) == 0
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(np.abs(t) > 120.0):
         raise PoleError("hardy_z implemented for |t| <= 120")
-    val = cmath.exp(1j * rs_theta(t)) * zeta(0.5 + 1j * t)
-    if abs(val.imag) > imag_tol * max(1.0, abs(val.real)):
+    val = np.exp(1j * rs_theta(t)) * zeta(0.5 + 1j * t)
+    bad = np.abs(val.imag) > imag_tol * np.maximum(1.0, np.abs(val.real))
+    if np.any(bad):
         raise ImaginaryResidueError(
-            f"Z({t}) has imaginary residue {val.imag:.3e}")
-    return val.real
+            f"Z({t[bad][0]}) has imaginary residue {val.imag[bad][0]:.3e}")
+    return float(val.real[0]) if scalar else val.real

@@ -3,7 +3,9 @@
 Zeros are found as sign changes of the Hardy Z-function on a fine scan
 grid, refined by bisection, and the count is cross-checked against the
 Riemann-von Mangoldt estimate so that a missed pair of close zeros (or a
-spurious double-count) is an error, not a silent wrong answer.
+spurious double-count) is an error, not a silent wrong answer.  Z is
+evaluated as one array per scan and one per bisection round, over the
+midpoints of every bracket still wider than the precision.
 """
 
 from __future__ import annotations
@@ -11,9 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CountMismatchError, OrderViolationError, TableParseError
 from .special import hardy_z, zero_count_estimate
-from .stages import stage
+from .stages import WORK, stage
 
 
 @dataclass(frozen=True)
@@ -44,9 +48,9 @@ def find_zeros(height_bound: float, *, precision: float = 1e-9,
                scan_step: float = 0.05) -> ZeroTable:
     """All zero ordinates in (0, height_bound], by Z-function bisection.
 
-    height_bound must be <= 120 (the validated range of the scalar
-    machinery) and should not itself be a zero ordinate.  precision is
-    the bisection half-width target, floor 1e-9.  The final count must
+    height_bound must be <= 120 (the validated range of the Euler-Maclaurin
+    Z) and should not itself be a zero ordinate.  precision is the
+    bisection half-width target, floor 1e-9.  The final count must
     agree with the Riemann-von Mangoldt estimate to within 1; otherwise
     CountMismatchError -- a smaller scan_step is the remedy when a close
     pair was stepped over.
@@ -55,25 +59,27 @@ def find_zeros(height_bound: float, *, precision: float = 1e-9,
         raise ValueError("need 0 < height_bound <= 120")
     precision = max(precision, 1e-9)
     n_steps = int(math.ceil(height_bound / scan_step))
-    ts = [min(i * scan_step, height_bound) for i in range(n_steps + 1)]
-    zs = [hardy_z(t) for t in ts]
-    found = []
-    for (t0, z0), (t1, z1) in zip(zip(ts, zs), zip(ts[1:], zs[1:])):
-        if z0 == 0.0:
-            continue
-        if z0 * z1 < 0.0 or z1 == 0.0:
-            lo, hi, flo = t0, t1, z0
-            while hi - lo > precision:
-                mid = 0.5 * (lo + hi)
-                fm = hardy_z(mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if flo * fm < 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            found.append(0.5 * (lo + hi))
+    ts = np.minimum(np.arange(n_steps + 1) * scan_step, height_bound)
+    zs = hardy_z(ts)
+    z0, z1 = zs[:-1], zs[1:]
+    bracket = (z0 != 0.0) & ((z0 * z1 < 0.0) | (z1 == 0.0))
+    lo, hi, flo = ts[:-1][bracket], ts[1:][bracket], z0[bracket]
+    rounds, points = 0, ts.size
+    live = np.flatnonzero(hi - lo > precision)
+    while live.size:
+        mid = 0.5 * (lo[live] + hi[live])
+        fm = hardy_z(mid)
+        # A sign change keeps [lo, mid]; otherwise [mid, hi], and an
+        # exact zero closes the bracket at mid.
+        left = flo[live] * fm < 0.0
+        hi[live] = np.where(left | (fm == 0.0), mid, hi[live])
+        lo[live] = np.where(left, lo[live], mid)
+        flo[live] = np.where(left, flo[live], fm)
+        rounds, points = rounds + 1, points + mid.size
+        live = live[hi[live] - lo[live] > precision]
+    found = (0.5 * (lo + hi)).tolist()
+    WORK.update(scan_points=ts.size, bisection_rounds=rounds,
+                hardy_z_points=points)
     expected = zero_count_estimate(height_bound)
     if abs(len(found) - expected) > 1.0 + 0.3:
         raise CountMismatchError(

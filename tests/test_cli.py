@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from weiltrace import ExpressionError, LogBump, LogGaussian, parse_function
-from weiltrace.cli import main
+from weiltrace.cli import _build_parser, main
 from weiltrace.exprs import _BUILTINS, _CONSTRUCTORS, format_function
 
 
@@ -239,6 +239,16 @@ def test_cli_stage_timings_and_work(tmp_path, monkeypatch, capsys):
     assert report["timings"]["trace"] <= report["wall_time_s"]
     assert report["work"] == {"trace_n": 1024}
 
+    status, report = _run(tmp_path, "zeros", "--max-height", "60")
+    assert status == 0
+    assert list(report["timings"]) == ["find_zeros"]
+    work = report["work"]
+    assert work["scan_points"] == 1201
+    # 26 halvings take a 0.05 scan bracket below the 1e-9 precision
+    assert work["bisection_rounds"] == 26
+    assert (work["scan_points"] < work["hardy_z_points"]
+            <= work["scan_points"] + 13 * 26)
+
 
 def test_cli_closed_pipe_no_traceback():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -250,6 +260,57 @@ def test_cli_closed_pipe_no_traceback():
     err = proc.stderr.read().decode()
     assert proc.wait() == 0
     assert "Traceback" not in err
+
+
+def _cli_process(*argv, timeout=60):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    return subprocess.run([sys.executable, "-m", "weiltrace.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
+
+
+@pytest.mark.parametrize("argv", [
+    ("lchi", "--modulus", "0", "--index", "0", "--s", "2"),
+    ("check-twisted-poisson", "--f", "gauss2", "--modulus", "0",
+     "--index", "0"),
+])
+def test_cli_zero_modulus_is_config_error(argv):
+    # In a subprocess with a timeout, so that a hang fails the test.
+    proc = _cli_process(*argv)
+    assert proc.returncode == 2
+    outputs = json.loads(proc.stdout)["outputs"]
+    assert outputs["error_type"] == "ValueError"
+    assert "modulus must be a positive integer" in outputs["error"]
+
+
+def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    assert _build_parser() is _build_parser()
+    out = tmp_path / "r.json"
+
+    def call(*argv):
+        status = main([*argv, "--out", str(out)])
+        report = json.loads(out.read_text())
+        return status, report, capsys.readouterr()
+
+    _, _, loud = call("zeta", "--s", "2,0", "-v")
+    assert "wall_time_s" in loud.err
+    _, quiet, streams = call("zeta", "--s", "3,0")
+    assert streams.out == streams.err == ""
+    assert "verbose" not in quiet["inputs"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("s = 3,0\ntol = 1e-3\n")
+    _, with_cfg, _ = call("zeta", "--config", str(cfg))
+    assert with_cfg["inputs"]["tol"] == "1e-3"
+    _, without, _ = call("zeta", "--s", "2,0")
+    assert without["inputs"] == {"command": "zeta", "s": "2,0"}
+    assert main(["zeta", "--bogus"]) == 2
+    capsys.readouterr()
+    status, again, _ = call("check-phi-identity")
+    assert status == 0
+    proc = _cli_process("check-phi-identity")
+    assert proc.returncode == 0
+    assert again["outputs"] == json.loads(proc.stdout)["outputs"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -265,6 +326,12 @@ def test_cli_closed_pipe_no_traceback():
     ("check-trace-lemma", "--f0", "loggauss(1,0,0.7)",
      "--f1", "loggauss(1,0.3,0.9)", "--phi-width", "0"),
     ("check-phi-identity", "--phi-width", "0"),
+    ("check-poisson", "--f", "gauss2", "--x", "0"),
+    ("check-poisson", "--f", "gauss2", "--x", "inf"),
+    ("check-poisson", "--f", "gauss2", "--x", "-1"),
+    ("check-twisted-poisson", "--f", "gauss2", "--modulus", "5",
+     "--index", "2", "--x", "0"),
+    ("lchi", "--modulus", "-3", "--index", "0", "--s", "2"),
 ])
 def test_cli_out_of_range_value_is_config_error(tmp_path, argv):
     status, report = _run(tmp_path, *argv)

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weiltrace import (EULER_GAMMA, PoleError, NonPrimitiveCharacterError,
-                       character, digamma, gamma, hardy_z, hurwitz_zeta,
-                       l_chi, lambda_chi, loggamma, rs_theta, xi,
-                       zero_count_estimate, zeta, zeta_tail)
+from weiltrace import (EULER_GAMMA, ImaginaryResidueError, PoleError,
+                       NonPrimitiveCharacterError, character, digamma, gamma,
+                       hardy_z, hurwitz_zeta, l_chi, lambda_chi, loggamma,
+                       rs_theta, xi, zero_count_estimate, zeta, zeta_tail)
 
 # Frozen 18-digit oracle values (independent multiprecision evaluation).
 ZETA_ORACLE = {
@@ -170,3 +170,64 @@ def test_hardy_z_real_rotation():
 def test_zero_count_estimate():
     # 13 zeros below height 60; the estimate must round to that count
     assert round(zero_count_estimate(60.0)) == 13
+
+
+# Points on and off the critical line, with reflection (Re s < 0 for
+# zeta, Re s < 1/2 for Gamma) and term counts from 20 to 120.
+POINTS = np.array([2.0, complex(0.5, 14), complex(3, 20), -3.5,
+                   complex(-2.3, 1.7), complex(0.25, -47.5),
+                   complex(1.5, 119.2), complex(-4.5, -33.3), 0.3])
+HEIGHTS = np.array([0.0, 7.3, -18.0, 30.0, 47.5, 99.9, -119.99, 120.0])
+
+
+def _same(array, scalars, rel=1e-14):
+    """Array values against per-element scalar calls.  The array form
+    adds each partial sum in a wider block, so the last bits may
+    differ; rel is relative to max(1, |value|)."""
+    assert array.shape == (len(scalars),)
+    for a, b in zip(array, scalars):
+        assert abs(a - b) <= rel * max(1.0, abs(b))
+
+
+@pytest.mark.parametrize("func, args, kind", [
+    (gamma, POINTS, complex),
+    (loggamma, np.abs(POINTS.real) + 1j * POINTS.imag, complex),
+    (zeta, POINTS, complex),
+    (rs_theta, HEIGHTS, float),
+    (zero_count_estimate, HEIGHTS, float),
+    (hardy_z, HEIGHTS, float),
+])
+def test_array_is_elementwise(func, args, kind):
+    scalars = [func(a.item()) for a in args]
+    assert all(type(v) is kind for v in scalars)
+    _same(func(args), scalars)
+
+
+def test_zeta_tail_and_hurwitz_are_elementwise_in_both_arguments():
+    n = np.array([20, 50, 77, 120])
+    s = POINTS[:4]
+    scalars = [zeta_tail(int(k), complex(z)) for k, z in zip(n, s)]
+    assert all(type(v) is complex for v in scalars)
+    _same(zeta_tail(n, s), scalars)
+    a = np.array([0.2, 0.5, 1.0, 1.0 / 3.0])
+    scalars = [hurwitz_zeta(complex(z), float(b)) for z, b in zip(s, a)]
+    assert all(type(v) is complex for v in scalars)
+    _same(hurwitz_zeta(s, a), scalars)
+    _same(hurwitz_zeta(2.5, a), [hurwitz_zeta(2.5, float(b)) for b in a])
+
+
+def test_array_poles_and_ranges_raise():
+    with pytest.raises(PoleError):
+        zeta(np.array([2.0, 1.0]))
+    with pytest.raises(PoleError):
+        gamma(np.array([0.5, -3.0]))
+    with pytest.raises(PoleError):
+        hardy_z(np.array([10.0, 120.5]))
+    with pytest.raises(ValueError):
+        hurwitz_zeta(2.0, np.array([0.5, 0.0]))
+
+
+def test_hardy_z_imaginary_residue_is_noticed():
+    # Negative control: no tolerance for the rounding-level imaginary part.
+    with pytest.raises(ImaginaryResidueError):
+        hardy_z(np.array([18.0, 30.0]), imag_tol=0.0)

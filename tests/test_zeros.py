@@ -63,3 +63,12 @@ def test_reference_table_fixture(reference_zeros):
     assert len(reference_zeros.ordinates) == 13
     assert reference_zeros.ordinates[0] == pytest.approx(
         FIRST_THREE[0], abs=1e-12)
+
+
+def test_find_zeros_to_120_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    table = find_zeros(120.0)
+    assert len(table.ordinates) == 38
+    for k, got in enumerate(table.ordinates, start=1):
+        want = float(mpmath.zetazero(k).imag)
+        assert abs(got - want) <= table.precision
