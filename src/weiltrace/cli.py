@@ -26,21 +26,20 @@ import sys
 import time
 
 from . import stages
-from .errors import (ConfigError, DisagreementError, DomainError,
-                     TableParseError, ToleranceError, WeiltraceError)
-from .exprs import format_function, parse_function
+from .errors import (ConfigError, DisagreementError, ToleranceError,
+                     WeiltraceError)
+from .exprs import parse_function
 from .explicit import verify_explicit_formula
-from .grids import QuadratureSpec
 from .operators import (TruncationSpec, character, poisson_check,
                         twisted_poisson_check, zspectral_check)
-from .special import PoleError, l_chi, xi, zeta
+from .special import l_chi, xi, zeta
 from .traces import LogGridSpec, build_phi, phi_log_identity, \
     toeplitz_trace_check
 from .transforms import mellin, mellin_parity
 from .families import ParityFunction
 from .zeros import find_zeros, load_zeros, save_zeros
 
-__all__ = ["main", "run", "RunConfig"]
+__all__ = ["main", "run"]
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -48,14 +47,6 @@ EXIT_CONFIG = 2
 EXIT_CERTIFICATION = 3
 
 CACHE_ENV = "WEILTRACE_CACHE"
-
-
-class RunConfig(dict):
-    """Merged flag + config-file values for one command invocation."""
-
-    @property
-    def command(self):
-        return self["command"]
 
 
 def _jsonable(v):
@@ -98,22 +89,31 @@ def _parse_trunc(text: str | None, primes=None, e_max=None) -> TruncationSpec:
     return TruncationSpec(**kwargs)
 
 
-def _parse_function(text: str):
-    if text is None:
-        raise ConfigError("a function expression is required (--f)")
-    return parse_function(text)
+def _required(cfg: dict, key: str):
+    """cfg[key]; ConfigError naming the flag when it is unset."""
+    value = cfg.get(key)
+    if value is None:
+        flag = "--" + key.replace("_", "-")
+        raise ConfigError(f"{cfg['command']} requires {flag}")
+    return value
 
 
-def _parse_half_line_function(text: str, cmd: str):
+def _parse_half_line_function(cfg: dict, key: str):
     """A test function on (0, inf); a function on R is a config error."""
-    f = _parse_function(text)
+    text = _required(cfg, key)
+    f = parse_function(text)
     if isinstance(f, ParityFunction):
-        raise ConfigError(f"{cmd} needs a test function on (0, inf); "
-                          f"{text!r} is a function on R")
+        raise ConfigError(f"{cfg['command']} needs a test function on "
+                          f"(0, inf); {text!r} is a function on R")
     return f
 
 
-def _value(cfg: RunConfig, key: str, default):
+def _character(cfg: dict):
+    return character(int(_required(cfg, "modulus")),
+                     int(_required(cfg, "index")))
+
+
+def _value(cfg: dict, key: str, default):
     """cfg[key], or default when the key is unset (None), so that a 0
     reaches validation instead of turning into the default."""
     value = cfg.get(key)
@@ -122,8 +122,6 @@ def _value(cfg: RunConfig, key: str, default):
 
 def _resolve_zeros(source: str, out_path: str | None):
     """Zero table from a file path or 'auto:T' with file caching."""
-    if source is None:
-        raise ConfigError("a zero source is required (--zeros)")
     if source.startswith("auto:"):
         try:
             height = float(source[len("auto:"):])
@@ -146,11 +144,11 @@ def _resolve_zeros(source: str, out_path: str | None):
     return load_zeros(source), source
 
 
-def _values_command(cfg: RunConfig) -> tuple[dict, bool]:
-    cmd = cfg.command
-    s = _parse_complex(cfg["s"])
+def _values_command(cfg: dict) -> tuple[dict, bool]:
+    cmd = cfg["command"]
+    s = _parse_complex(_required(cfg, "s"))
     if cmd == "mellin":
-        f = _parse_function(cfg["f"])
+        f = parse_function(_required(cfg, "f"))
         mv = (mellin_parity if isinstance(f, ParityFunction) else mellin)(
             f, s)
         return {"value": mv.value, "est_error": mv.est_error}, True
@@ -161,16 +159,15 @@ def _values_command(cfg: RunConfig) -> tuple[dict, bool]:
         return {"xi": v.xi, "zeta": v.zeta,
                 "gamma_factor": v.gamma_factor}, True
     if cmd == "lchi":
-        chi = character(int(cfg["modulus"]), int(cfg["index"]))
-        return {"value": l_chi(chi, s)}, True
+        return {"value": l_chi(_character(cfg), s)}, True
     raise ConfigError(f"unknown command {cmd!r}")
 
 
-def _check_command(cfg: RunConfig) -> tuple[dict, bool]:
-    cmd = cfg.command
+def _check_command(cfg: dict) -> tuple[dict, bool]:
+    cmd = cfg["command"]
     tr = _parse_trunc(cfg.get("trunc"))
     if cmd == "check-poisson":
-        f = _parse_function(cfg["f"])
+        f = parse_function(_required(cfg, "f"))
         xs = [float(t) for t in _value(cfg, "x", "0.25,0.5,1,2,4").split(",")]
         tol = float(_value(cfg, "tol", 1e-10))
         residuals = {str(x): poisson_check(f, x, tr) for x in xs}
@@ -178,14 +175,14 @@ def _check_command(cfg: RunConfig) -> tuple[dict, bool]:
         return {"residuals": residuals, "max_residual": worst,
                 "tolerance": tol}, worst < tol
     if cmd == "check-zspectral":
-        f = _parse_function(cfg["f"])
+        f = parse_function(_required(cfg, "f"))
         s = _parse_complex(_value(cfg, "s", "2,0"))
         tol = float(_value(cfg, "tol", 1e-8))
-        res = zspectral_check(f, s, tr)
+        res = zspectral_check(f, s)
         return {"residual": res, "tolerance": tol}, res < tol
     if cmd == "check-twisted-poisson":
-        f = _parse_function(cfg["f"])
-        chi = character(int(cfg["modulus"]), int(cfg["index"]))
+        f = parse_function(_required(cfg, "f"))
+        chi = _character(cfg)
         xs = [float(t) for t in _value(cfg, "x", "0.5,1,2").split(",")]
         tol = float(_value(cfg, "tol", 1e-7))
         residuals, kappas = {}, {}
@@ -199,8 +196,8 @@ def _check_command(cfg: RunConfig) -> tuple[dict, bool]:
                 "max_residual": worst, "kappa_modulus_defect": kappa_defect,
                 "tolerance": tol}, ok
     if cmd == "check-trace-lemma":
-        f0 = _parse_half_line_function(cfg["f0"], cmd)
-        f1 = _parse_half_line_function(cfg["f1"], cmd)
+        f0 = _parse_half_line_function(cfg, "f0")
+        f1 = _parse_half_line_function(cfg, "f1")
         phi = build_phi(float(_value(cfg, "phi_width", 1.0)))
         grid = LogGridSpec(n_points=int(_value(cfg, "n", 2048)),
                            half_width=float(_value(cfg, "window", 8.0)))
@@ -219,7 +216,7 @@ def _check_command(cfg: RunConfig) -> tuple[dict, bool]:
     raise ConfigError(f"unknown command {cmd!r}")
 
 
-def _zeros_command(cfg: RunConfig) -> tuple[dict, bool]:
+def _zeros_command(cfg: dict) -> tuple[dict, bool]:
     height = float(cfg.get("max_height") or 0.0)
     if not height > 0:
         raise ConfigError("zeros requires --max-height T > 0")
@@ -233,9 +230,10 @@ def _zeros_command(cfg: RunConfig) -> tuple[dict, bool]:
             "table_path": out}, True
 
 
-def _verify_command(cfg: RunConfig) -> tuple[dict, bool]:
-    f = _parse_half_line_function(cfg["f"], cfg.command)
-    table, table_path = _resolve_zeros(cfg.get("zeros"), cfg.get("out"))
+def _verify_command(cfg: dict) -> tuple[dict, bool]:
+    f = _parse_half_line_function(cfg, "f")
+    table, table_path = _resolve_zeros(_required(cfg, "zeros"),
+                                       cfg.get("out"))
     tr = _parse_trunc(cfg.get("trunc"), primes=cfg.get("primes"),
                       e_max=cfg.get("e_max"))
     tol = float(cfg.get("tol") or 1e-4)
@@ -325,8 +323,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
+def _merge_config(args: argparse.Namespace) -> dict:
+    """Config-file values overridden by the flags that were given."""
+    cfg = {}
     if args.config:
         cfg.update(_read_config_file(args.config))
     for key, val in vars(args).items():
@@ -337,26 +336,23 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def run(cfg: RunConfig) -> tuple[int, dict]:
+def run(cfg: dict) -> tuple[int, dict]:
     """Execute one command; returns (exit_status, report_dict)."""
     start = time.perf_counter()
     stages.reset()
     inputs = {k: v for k, v in cfg.items()
               if k not in ("out", "verbose") and v is not None}
     try:
-        outputs, ok = _HANDLERS[cfg.command](cfg)
+        outputs, ok = _HANDLERS[cfg["command"]](cfg)
         status = EXIT_OK if ok else EXIT_TOLERANCE
-    except (ConfigError, TableParseError, PoleError, DomainError,
-            ValueError) as exc:
+    except (WeiltraceError, ValueError) as exc:
         outputs, ok = {"error": str(exc),
                        "error_type": type(exc).__name__}, False
-        status = EXIT_CONFIG
-    except (ToleranceError, DisagreementError) as exc:
-        outputs, ok = {"error": str(exc),
-                       "error_type": type(exc).__name__}, False
-        status = EXIT_CERTIFICATION
+        status = (EXIT_CERTIFICATION
+                  if isinstance(exc, (ToleranceError, DisagreementError))
+                  else EXIT_CONFIG)
     report = {
-        "command": cfg.command,
+        "command": cfg["command"],
         "inputs": _jsonable(inputs),
         "outputs": _jsonable(outputs),
         "passed": ok,
@@ -386,10 +382,11 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         cfg = _merge_config(args)
-        status, report = run(cfg)
-    except WeiltraceError as exc:
+    except ConfigError as exc:
         report = {"error": str(exc), "error_type": type(exc).__name__}
         status = EXIT_CONFIG
+    else:
+        status, report = run(cfg)
     text = json.dumps(report, indent=2)
     out = getattr(args, "out", None)
     verbose = getattr(args, "verbose", 0)

@@ -25,13 +25,13 @@ Their disagreement is monitored and fed into the error budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import BudgetExceededError, DisagreementError
 from .families import TestFunction
-from .grids import QuadratureSpec, trapezoid, trapezoid_with_coarse
+from .grids import trapezoid, trapezoid_with_coarse
 from .operators import TruncationSpec, primes_up_to
 from .special import EULER_GAMMA, digamma
 from .stages import WORK, stage
@@ -49,9 +49,9 @@ _CROSS_CHECK_TOL = 1e-5
 _LOG_MAX_POWER = 308.0 * math.log(10.0)
 
 
-def _mellin_value(f, s: complex, q: QuadratureSpec | None = None) -> complex:
+def _mellin_value(f, s: complex) -> complex:
     closed = f.mellin_closed(s) if isinstance(f, TestFunction) else None
-    return mellin(f, s, q).value if closed is None else complex(closed)
+    return mellin(f, s).value if closed is None else complex(closed)
 
 
 def _prime_tail_bound(f, p_from: float, *, n_grid: int = 2001) -> float:
@@ -166,19 +166,18 @@ def W_infty(f) -> tuple[float, float, float]:
     return value, est, disagreement
 
 
-def spectral_parts(f, zt: ZeroTable, q: QuadratureSpec | None = None,
-                   ) -> tuple[float, float, float]:
+def spectral_parts(f, zt: ZeroTable) -> tuple[float, float, float]:
     """(pole_contribution, zero_contribution, certified_bound) of the
     spectral side: poles of the completed zeta at 0 and 1 enter with
     order +1, table zeros 1/2 +- i gamma with order -1 each.  The bound
     covers the zeros above the table height plus the sensitivity of the
     zero sum to the table's ordinate precision."""
-    poles = _mellin_value(f, 0.0, q) + _mellin_value(f, 1.0, q)
+    poles = _mellin_value(f, 0.0) + _mellin_value(f, 1.0)
     zero_sum = 0.0 + 0.0j
     sens = 0.0
     WORK["zeros_summed"] = len(zt.ordinates)
     for g in zt.ordinates:
-        mv = _mellin_value(f, complex(0.5, g), q)
+        mv = _mellin_value(f, complex(0.5, g))
         zero_sum += 2.0 * mv.real
         sens += 2.0 * abs(mv) * (1.0 + g) * zt.precision
     bound = _zero_tail_bound(f, zt.height_bound) + sens
@@ -187,17 +186,6 @@ def spectral_parts(f, zt: ZeroTable, q: QuadratureSpec | None = None,
             raise DisagreementError(
                 f"spectral side has imaginary residue {part.imag:.3e}")
     return float(poles.real), float(zero_sum.real), bound
-
-
-def spectral_side(f, zt: ZeroTable, q: QuadratureSpec | None = None,
-                  ) -> tuple[float, float]:
-    """(M f)(0) + (M f)(1) - sum over zeros 1/2 +- i gamma of (M f),
-    with a certified bound for the zeros above the table height.
-
-    Returns (value, tail_plus_precision_bound).
-    """
-    poles, zero_sum, bound = spectral_parts(f, zt, q)
-    return poles - zero_sum, bound
 
 
 def _zero_tail_bound(f, height: float) -> float:
@@ -238,23 +226,11 @@ class ExplicitFormulaReport:
         return sum(self.budgets.values())
 
     def as_dict(self) -> dict:
-        return {
-            "spectral_side": self.spectral_side,
-            "pole_contribution": self.pole_contribution,
-            "zero_contribution": self.zero_contribution,
-            "prime_side": self.prime_side,
-            "W_p_total": self.W_p_total,
-            "W_infty": self.W_infty,
-            "residual": self.residual,
-            "budgets": dict(self.budgets),
-            "total_budget": self.total_budget,
-            "c_inf": self.c_inf,
-        }
+        return {**asdict(self), "total_budget": self.total_budget}
 
 
 def verify_explicit_formula(f, zt: ZeroTable,
-                            tr: TruncationSpec | None = None,
-                            q: QuadratureSpec | None = None, *,
+                            tr: TruncationSpec | None = None, *,
                             budget_check: bool = True,
                             ) -> ExplicitFormulaReport:
     """Evaluate both sides and certify |spectral - geometric| against
@@ -262,7 +238,7 @@ def verify_explicit_formula(f, zt: ZeroTable,
     is larger than the budget can explain."""
     tr = tr or TruncationSpec()
     with stage("spectral"):
-        poles, zero_sum, spec_bound = spectral_parts(f, zt, q)
+        poles, zero_sum, spec_bound = spectral_parts(f, zt)
     with stage("primes"):
         prime_val, prime_bound = W_prime_total(f, tr)
     with stage("archimedean"):

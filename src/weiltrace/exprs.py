@@ -18,7 +18,7 @@ import ast
 from .errors import ExpressionError
 from .families import LogBump, LogGaussian, gaussian_even, gaussian_odd
 
-__all__ = ["parse_function", "format_function"]
+__all__ = ["parse_function"]
 
 
 _BUILTINS = {
@@ -84,13 +84,3 @@ def parse_function(text: str):
     except ValueError as exc:
         raise ExpressionError(str(exc)) from None
 
-
-def format_function(f) -> str:
-    """Inverse of parse_function for the constructible families."""
-    if isinstance(f, LogGaussian):
-        return (f"loggauss(a={f.amplitude:g},mu={f.center:g},"
-                f"sigma={f.width:g})")
-    if isinstance(f, LogBump):
-        return (f"logbump(a={f.amplitude:g},lo={f.lo:g},hi={f.hi:g},"
-                f"shape={f.shape:g})")
-    return repr(f)

@@ -3,23 +3,18 @@
 Two families:
 
 * ``TestFunction`` -- smooth functions on (0, inf) with rapid decay at both
-  ends in log coordinates.  The family is closed, exactly, under the
-  involution J f(x) = x^{-1} f(x^{-1}), the scaling (lambda_t f)(x) =
-  f(x/t), multiplication by powers x^s, and constant multiples, so every
-  operator identity can be checked without interpolation error.
+  ends in log coordinates: log-Gaussians and compactly supported
+  log-bumps.  The scaling (lambda_t f)(x) = f(x/t) maps each family to
+  itself, and the involution J f(x) = x^{-1} f(x^{-1}) maps log-Gaussians
+  to log-Gaussians, so the operator identities are checked without
+  interpolation error.
 
 * ``ParityFunction`` -- even or odd Schwartz functions on R of the form
   sum_j c_j x^{k_j} exp(-a_j pi x^2), closed under the Fourier transform
   (see :mod:`weiltrace.transforms`).
 
-Log-Gaussian algebra used throughout: with u = ln x,
-
-    x^s * LG(a, mu, sigma) = LG(a e^{s mu + s^2 sigma^2 / 2},
-                                mu + s sigma^2, sigma)
-
-so scaled powers and shifts of log-Gaussians collapse back into the
-family; ``ScaledPower`` and ``Shifted`` survive as explicit nodes only
-over compactly supported bumps.
+With u = ln x, x^s LG(a, mu, sigma) = LG(a e^{s mu + s^2 sigma^2 / 2},
+mu + s sigma^2, sigma), which gives J in closed form.
 """
 
 from __future__ import annotations
@@ -114,111 +109,24 @@ class LogBump(TestFunction):
         return (self.lo, self.hi)
 
 
-@dataclass(frozen=True)
-class ScaledPower(TestFunction):
-    """x^exponent * base(x)."""
-
-    base: TestFunction
-    exponent: float
-
-    def _eval(self, x):
-        return x ** self.exponent * self.base._eval(x)
-
-    def support(self):
-        return self.base.support()
-
-    def mellin_closed(self, s):
-        inner = self.base.mellin_closed(s + self.exponent)
-        return inner
-
-
-@dataclass(frozen=True)
-class Shifted(TestFunction):
-    """(lambda_t base)(x) = base(x / t)."""
-
-    base: TestFunction
-    t: float
-
-    def __post_init__(self):
-        if not self.t > 0:
-            raise ValueError("scale t must be positive")
-
-    def _eval(self, x):
-        return self.base._eval(x / self.t)
-
-    def support(self):
-        s = self.base.support()
-        return None if s is None else (s[0] * self.t, s[1] * self.t)
-
-    def mellin_closed(self, s):
-        inner = self.base.mellin_closed(s)
-        return None if inner is None else self.t ** s * inner
-
-
-def cmul(f: TestFunction, c: float) -> TestFunction:
-    """Constant multiple c * f, pushed into leaf amplitudes."""
-    if isinstance(f, LogGaussian):
-        return LogGaussian(c * f.amplitude, f.center, f.width)
-    if isinstance(f, LogBump):
-        return LogBump(c * f.amplitude, f.lo, f.hi, f.shape)
-    if isinstance(f, ScaledPower):
-        return ScaledPower(cmul(f.base, c), f.exponent)
-    if isinstance(f, Shifted):
-        return Shifted(cmul(f.base, c), f.t)
-    raise TypeError(f"unknown test function {type(f)!r}")
-
-
-def power_weight(f: TestFunction, s: float) -> TestFunction:
-    """x^s * f, collapsed into the family where possible."""
-    if s == 0.0:
-        return f
-    if isinstance(f, LogGaussian):
-        a, mu, sg = f.amplitude, f.center, f.width
-        return LogGaussian(a * math.exp(s * mu + 0.5 * (s * sg) ** 2),
-                           mu + s * sg ** 2, sg)
-    if isinstance(f, ScaledPower):
-        e = f.exponent + s
-        return f.base if e == 0.0 else ScaledPower(f.base, e)
-    if isinstance(f, Shifted):
-        # x^s f(x/t) = t^s (x/t)^s f(x/t)
-        return Shifted(power_weight(cmul(f.base, f.t ** s), s), f.t)
-    return ScaledPower(f, s)
-
-
 def scale(f: TestFunction, t: float) -> TestFunction:
-    """lambda_t f: x -> f(x / t)."""
+    """lambda_t f: x -> f(x / t), exact on both half-line families."""
     if not t > 0:
         raise DomainError("scale t must be positive")
-    if t == 1.0:
-        return f
     if isinstance(f, LogGaussian):
         return LogGaussian(f.amplitude, f.center + math.log(t), f.width)
-    if isinstance(f, Shifted):
-        return scale(f.base, f.t * t)
-    return Shifted(f, t)
-
-
-def reflect(f: TestFunction) -> TestFunction:
-    """x -> f(1/x), collapsed into the family."""
-    if isinstance(f, LogGaussian):
-        return LogGaussian(f.amplitude, -f.center, f.width)
     if isinstance(f, LogBump):
-        return LogBump(f.amplitude, 1.0 / f.hi, 1.0 / f.lo, f.shape)
-    if isinstance(f, ScaledPower):
-        return power_weight(reflect(f.base), -f.exponent)
-    if isinstance(f, Shifted):
-        return scale(reflect(f.base), 1.0 / f.t)
-    raise TypeError(f"unknown test function {type(f)!r}")
+        return LogBump(f.amplitude, t * f.lo, t * f.hi, f.shape)
+    raise TypeError(f"cannot scale {type(f)!r}")
 
 
 def apply_J(f: TestFunction) -> TestFunction:
-    """J f(x) = x^{-1} f(x^{-1}); an exact involution on the family."""
-    return power_weight(reflect(f), -1.0)
-
-
-def tau(f: TestFunction) -> float:
-    """tau(f) = f(1)."""
-    return f(1.0)
+    """J f(x) = x^{-1} f(x^{-1}), an involution; in closed form on
+    log-Gaussians only."""
+    if not isinstance(f, LogGaussian):
+        raise TypeError(f"J is implemented for LogGaussian, not {type(f)!r}")
+    a, mu, sg = f.amplitude, f.center, f.width
+    return LogGaussian(a * math.exp(mu + 0.5 * sg * sg), -mu - sg * sg, sg)
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,11 @@ import numpy as np
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Log-coordinate window [u_min, u_max] with n_points (odd, so the
-    every-other-point subgrid spans the same window) and a tolerance."""
+    every-other-point subgrid spans the same window)."""
 
     u_min: float = -40.0
     u_max: float = 40.0
     n_points: int = 4001
-    tolerance: float = 1e-10
 
     def __post_init__(self):
         if not self.u_min < self.u_max:
@@ -36,8 +35,6 @@ class QuadratureSpec:
             raise ValueError("n_points must be at least 16")
         if self.n_points % 2 == 0:
             raise ValueError("n_points must be odd")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
 
     def u_grid(self) -> tuple[np.ndarray, float]:
         """(grid, exact step); the step is not recomputed from two

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import (NonPrimitiveCharacterError, ParityMismatchError,
                      TailBoundError)
 from .families import LogGaussian, ParityFunction, TestFunction
-from .grids import QuadratureSpec
 from .special import zeta, zeta_tail
 from .transforms import fourier, mellin
 
@@ -185,7 +184,7 @@ class DirichletCharacter:
     def gauss_sum(self) -> complex:
         d = self.modulus
         return sum(self.values[a] * cmath.exp(2j * math.pi * a / d)
-                   for a in range(1, d))
+                   for a in range(d))
 
 
 def characters(d: int) -> list[DirichletCharacter]:
@@ -351,16 +350,17 @@ def _dyadic_tail_probe(f, x: float, n_from: int) -> float | None:
 
 
 def _lattice_sum(f, x: float, tr: TruncationSpec,
-                 weights: np.ndarray | None = None) -> complex:
-    """sum_n w_n f(n x) for n = 1..N with N chosen by _term_cap;
+                 weight=None) -> complex:
+    """sum_n w(n) f(n x) for n = 1..N with N chosen by _term_cap, where
+    weight maps the index array n to w(n) (all ones when None);
     ascending-n order, numpy pairwise summation (deterministic)."""
     n_cap = _term_cap(f, x, tr)
     if n_cap < 1:
         return 0.0
     n = np.arange(1, n_cap + 1, dtype=np.int64)
     vals = np.asarray(f(n * x), dtype=complex)
-    if weights is not None:
-        vals = vals * weights[:n_cap]
+    if weight is not None:
+        vals = vals * weight(n)
     return complex(np.sum(vals))
 
 
@@ -373,8 +373,7 @@ def apply_Z(f, x: float, tr: TruncationSpec | None = None) -> complex:
 def apply_Z_inverse(f, x: float, tr: TruncationSpec | None = None) -> complex:
     """Z^{-1} f(x) = sum_{n>=1} mu(n) f(n x)."""
     tr = tr or TruncationSpec()
-    mu = mobius_up_to(tr.n_max).astype(float)[1:]
-    return _lattice_sum(f, x, tr, weights=mu)
+    return _lattice_sum(f, x, tr, lambda n: mobius_up_to(tr.n_max)[n])
 
 
 def z_image(f, tr: TruncationSpec | None = None, *,
@@ -416,10 +415,7 @@ def apply_L_chi(chi: DirichletCharacter, f, x: float,
     if isinstance(f, ParityFunction) and f.parity != chi.parity:
         raise ParityMismatchError(
             f"character parity {chi.parity} vs function parity {f.parity}")
-    n_cap = _term_cap(f, x, tr)
-    n = np.arange(1, n_cap + 1, dtype=np.int64)
-    vals = np.asarray(f(n.astype(float) * x), dtype=complex)
-    return complex(np.sum(vals * chi.value_array(n)))
+    return _lattice_sum(f, x, tr, chi.value_array)
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +436,7 @@ def poisson_check(f: ParityFunction, x: float,
     return abs(lhs - rhs)
 
 
-def zspectral_check(f: TestFunction, s: complex,
-                    tr: TruncationSpec | None = None,
-                    q: QuadratureSpec | None = None) -> float:
+def zspectral_check(f: TestFunction, s: complex) -> float:
     """Residual of M(Z f)(s) = zeta(s) M(f)(s) for Re s > 1.
 
     The left side is assembled termwise: M(Z f)(s) = sum n^{-s} M f(s),
@@ -454,8 +448,7 @@ def zspectral_check(f: TestFunction, s: complex,
     s = complex(s)
     if s.real <= 1.0:
         raise ValueError("identity check needs Re s > 1")
-    tr = tr or TruncationSpec()
-    fhat = mellin(f, s, q).value
+    fhat = mellin(f, s).value
     m = max(50, 2 * math.ceil(abs(s.imag)))
     dirichlet = sum(n ** (-s) for n in range(1, m + 1)) + zeta_tail(m, s)
     return abs(dirichlet * fhat - zeta(s) * fhat)

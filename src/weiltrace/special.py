@@ -8,7 +8,8 @@ theta, the zero count and Z): a whole zero-scan grid is one Z call.
 Everything here is self-contained binary64 arithmetic: Gamma by the
 Lanczos approximation, zeta and Hurwitz zeta by Euler-Maclaurin with
 explicit Bernoulli corrections, good to ~1e-13 relative accuracy on the
-strip |Im s| <= 120, -5 <= Re s <= 5 (reflection outside).
+strip |Im s| <= 120, -5 <= Re s <= 5 (zeta and L by reflection for
+Re s < 0).
 """
 
 from __future__ import annotations
@@ -179,7 +180,10 @@ def zeta(s):
 
 
 def hurwitz_zeta(s, a):
-    """zeta(s, a) = sum (n + a)^{-s}, 0 < a <= 1, by Euler-Maclaurin."""
+    """zeta(s, a) = sum (n + a)^{-s}, 0 < a <= 1, by Euler-Maclaurin.
+
+    There is no reflection, so for Re s < 0 the ~1e-13 accuracy of the
+    strip is not reached (l_chi uses the functional equation there)."""
     scalar = np.ndim(s) == 0 and np.ndim(a) == 0
     s, a = np.asarray(s, dtype=complex), np.asarray(a, dtype=float)
     if np.any(np.abs(s - 1.0) < 1e-12):
@@ -210,21 +214,32 @@ def xi(s: complex) -> CompletedZetaValue:
 
 def l_chi(chi, s: complex) -> complex:
     """Dirichlet L-function via the Hurwitz decomposition
-    L(s, chi) = d^{-s} sum_{a mod d} chi(a) zeta(s, a/d).
+    L(s, chi) = d^{-s} sum_{a mod d} chi(a) zeta(s, a/d) for Re s >= 0,
+    and for Re s < 0 by the functional equation
+    L(s, chi) = W (d/pi)^{1/2-s} Gamma((1-s+a)/2) Gamma(1-(s+a)/2)
+                sin(pi (s+a)/2) / pi  L(1-s, conj chi),
+    with a = 0 (even chi) or 1 (odd) and root number
+    W = tau(chi) / (i^a sqrt(d)); neither Gamma has a pole there.
 
-    chi is any object with .modulus and .value(n) (see operators module)
-    and must be primitive and non-trivial; then L is entire and the
-    apparent pole at s = 1 cancels, so s = 1 is evaluated by a small
-    offset average.
+    chi is a DirichletCharacter (see operators module) and must be
+    primitive and non-trivial; then L is entire and the apparent pole at
+    s = 1 cancels, so s = 1 is evaluated by a small offset average.
     """
     s = complex(s)
     d = chi.modulus
-    if hasattr(chi, "is_primitive") and not chi.is_primitive:
+    if not chi.is_primitive:
         raise NonPrimitiveCharacterError(
             f"character mod {d} is not primitive")
     if abs(s - 1.0) < 1e-12:
         eps = 1e-5
         return 0.5 * (l_chi(chi, s + eps) + l_chi(chi, s - eps))
+    if s.real < 0.0:
+        a = 0 if chi.parity == 1 else 1
+        root = chi.gauss_sum() / (1j ** a * math.sqrt(d))
+        return (root * (d / math.pi) ** (0.5 - s)
+                * gamma((1.0 - s + a) / 2.0) * gamma(1.0 - (s + a) / 2.0)
+                * cmath.sin(math.pi * (s + a) / 2.0) / math.pi
+                * l_chi(chi.conjugate(), 1.0 - s))
     values = np.array([chi.value(a) for a in range(1, d + 1)], dtype=complex)
     a = np.flatnonzero(values) + 1
     total = np.sum(values[a - 1] * hurwitz_zeta(s, a / d))

@@ -157,46 +157,32 @@ def toeplitz_trace_check(f0, f1, phi: AuxiliaryPhi,
 # Dirac-comb derivation calculus
 # ---------------------------------------------------------------------------
 
-def _comb_multiply(a: dict[int, float], b: dict[int, float],
-                   n_max: int) -> dict[int, float]:
-    """Multiplicative convolution of combs supported on {1/n}: indices
-    multiply, weights convolve, truncated at n_max."""
-    out: dict[int, float] = {}
-    b_items = sorted(b.items())
-    for na, wa in a.items():
-        if wa == 0.0:
-            continue
-        cap = n_max // na
-        for nb, wb in b_items:
-            if nb > cap:
-                break
-            if wb == 0.0:
-                continue
-            n = na * nb
-            out[n] = out.get(n, 0.0) + wa * wb
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Multiplicative convolution of combs on {1/n : n <= n_max}, held as
+    arrays of weights indexed by n (index 0 unused, zero): indices
+    multiply, weights convolve, truncated at n_max.  Loops over the
+    nonzero weights of a, so pass the sparser comb first."""
+    n_max = a.size - 1
+    out = np.zeros_like(a)
+    for d in np.flatnonzero(a):
+        out[d::d] += a[d] * b[1:n_max // d + 1]
     return out
 
 
-def _z_comb(n_max: int) -> dict[int, float]:
-    return {n: 1.0 for n in range(1, n_max + 1)}
+def _combs(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The combs of Z and Z^{-1} (weights 1 and mu(n) at 1/n) and the
+    derivation's factor ln(1/n) = -ln n, as arrays indexed by n."""
+    n = np.arange(n_max + 1)
+    z = (n > 0).astype(float)
+    return z, mobius_up_to(n_max) * z, -np.log(np.maximum(n, 1))
 
 
-def _z_inverse_comb(n_max: int) -> dict[int, float]:
-    mu = mobius_up_to(n_max)
-    return {n: float(mu[n]) for n in range(1, n_max + 1) if mu[n]}
-
-
-def _derive_comb(comb: dict[int, float]) -> dict[int, float]:
-    """The derivation on combs: the mass at 1/n is scaled by
-    ln(1/n) = -ln n."""
-    return {n: -w * math.log(n) for n, w in comb.items()}
-
-
-def von_mangoldt_comb(n_max: int) -> dict[int, float]:
+def von_mangoldt_comb(n_max: int) -> np.ndarray:
     """conv(Z) applied to d(comb of Z^{-1}): the comb algebra route to
-    the von Mangoldt weights, computed without any prime sieve."""
-    return _comb_multiply(_z_comb(n_max), _derive_comb(_z_inverse_comb(n_max)),
-                          n_max)
+    the von Mangoldt weights, indexed by n <= n_max, computed without
+    any prime sieve."""
+    z, z_inv, d = _combs(n_max)
+    return _convolve(d * z_inv, z)
 
 
 def weil_derivation_check(f, tr: TruncationSpec | None = None) -> float:
@@ -207,9 +193,8 @@ def weil_derivation_check(f, tr: TruncationSpec | None = None) -> float:
     the derivation calculus."""
     tr = tr or TruncationSpec()
     comb = von_mangoldt_comb(tr.n_max)
-    ns = np.array(sorted(comb), dtype=float)
-    ws = np.array([comb[int(n)] for n in ns])
-    lhs = float(np.sum(ws * np.asarray(f(ns), dtype=float)))
+    lhs = float(np.sum(comb[1:] * np.asarray(
+        f(np.arange(1.0, tr.n_max + 1)), dtype=float)))
     qs, lps = [], []
     for p in primes_up_to(tr.n_max):
         lp = math.log(p)
@@ -230,12 +215,6 @@ def derivation_inverse_identity(n_max: int = 500) -> float:
     -Z^{-1} (d Z) Z^{-1} as truncated combs: the Leibniz rule
     d(Z^{-1}) = -Z^{-1} (d Z) Z^{-1} holds index-by-index below the
     truncation."""
-    lhs = _derive_comb(_z_inverse_comb(n_max))
-    zi = _z_inverse_comb(n_max)
-    rhs = _comb_multiply(
-        _comb_multiply(zi, _derive_comb(_z_comb(n_max)), n_max), zi, n_max)
-    rhs = {n: -w for n, w in rhs.items()}
-    worst = 0.0
-    for n in set(lhs) | set(rhs):
-        worst = max(worst, abs(lhs.get(n, 0.0) - rhs.get(n, 0.0)))
-    return worst
+    z, z_inv, d = _combs(n_max)
+    rhs = -_convolve(z_inv, _convolve(z_inv, d * z))
+    return float(np.max(np.abs(d * z_inv - rhs)))

@@ -8,7 +8,7 @@ import pytest
 
 from weiltrace import ExpressionError, LogBump, LogGaussian, parse_function
 from weiltrace.cli import _build_parser, main
-from weiltrace.exprs import _BUILTINS, _CONSTRUCTORS, format_function
+from weiltrace.exprs import _BUILTINS, _CONSTRUCTORS
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +40,7 @@ def test_parse_builtins():
 
 def test_parse_defaults_roundtrip():
     f = parse_function("loggauss(a=1,mu=0,sigma=1)")
-    assert parse_function(format_function(f)) == f
+    assert parse_function("loggauss()") == f
 
 
 @pytest.mark.parametrize("bad", [
@@ -313,6 +313,16 @@ def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
     assert again["outputs"] == json.loads(proc.stdout)["outputs"]
 
 
+# argv with a required flag left out -> the flag the error must name
+_MISSING_FLAG = {
+    ("lchi", "--index", "0", "--s", "2"): "--modulus",
+    ("check-twisted-poisson", "--f", "gauss2", "--modulus", "5"): "--index",
+    ("zeta",): "--s",
+    ("xi",): "--s",
+    ("mellin", "--f", "gauss2"): "--s",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ("zeros", "--max-height", "150"),
     ("check-trace-lemma", "--f0", "loggauss(1,0,0.7)",
@@ -332,11 +342,44 @@ def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
     ("check-twisted-poisson", "--f", "gauss2", "--modulus", "5",
      "--index", "2", "--x", "0"),
     ("lchi", "--modulus", "-3", "--index", "0", "--s", "2"),
+    *_MISSING_FLAG,
 ])
 def test_cli_out_of_range_value_is_config_error(tmp_path, argv):
     status, report = _run(tmp_path, *argv)
     assert status == 2
-    assert report["outputs"]["error_type"] == "ValueError"
+    outputs = report["outputs"]
+    if argv in _MISSING_FLAG:
+        assert outputs["error_type"] == "ConfigError"
+        assert f"requires {_MISSING_FLAG[argv]}" in outputs["error"]
+    else:
+        assert outputs["error_type"] == "ValueError"
+
+
+def test_cli_error_outside_config_checks_gives_full_report(tmp_path):
+    # An unordered zero table raises OrderViolationError, which is
+    # neither a ConfigError nor a certification failure: exit 2, and the
+    # report still carries the command, inputs, verdict and timings.
+    table = tmp_path / "zeros.txt"
+    table.write_text("21.0\n14.1\n")
+    status, report = _run(tmp_path, "verify-explicit-formula",
+                          "--f", "loggauss(1,0,1)", "--zeros", str(table))
+    assert status == 2
+    assert report["command"] == "verify-explicit-formula"
+    assert report["inputs"]["zeros"] == str(table)
+    assert report["passed"] is False
+    assert "timings" in report
+    assert report["outputs"]["error_type"] == "OrderViolationError"
+
+
+@pytest.mark.parametrize("argv", [
+    ("mellin", "--f", "loggauss(1,0,4)", "--s", "3"),
+    ("check-trace-lemma", "--f0", "loggauss(1,0,0.7)",
+     "--f1", "loggauss(1,0.3,0.9)", "--window", "2"),
+])
+def test_cli_window_error_is_certification_failure(tmp_path, argv):
+    status, report = _run(tmp_path, *argv)
+    assert status == 3
+    assert report["outputs"]["error_type"] == "WindowError"
 
 
 @pytest.mark.parametrize("argv", [

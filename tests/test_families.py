@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weiltrace import (LogBump, LogGaussian, ParityFunction, apply_J, cmul,
-                       gaussian_even, gaussian_odd, power_weight, reflect,
-                       scale, tau)
+from weiltrace import (LogBump, LogGaussian, ParityFunction, apply_J,
+                       gaussian_even, gaussian_odd, scale)
 
 positive = st.floats(min_value=0.05, max_value=20.0)
 
@@ -63,17 +62,22 @@ def test_apply_J_involution(x):
     assert apply_J(f)(x) == pytest.approx(f(1.0 / x) / x, rel=1e-12)
 
 
-def test_reflect_and_power_weight():
-    f = LogGaussian(1.0, 0.4, 1.0)
-    assert reflect(f)(2.0) == pytest.approx(f(0.5), rel=1e-14)
-    assert power_weight(f, 1.5)(2.0) == pytest.approx(
-        2.0**1.5 * f(2.0), rel=1e-14)
-    assert cmul(f, 3.0)(2.0) == pytest.approx(3.0 * f(2.0), rel=1e-14)
+@given(t=positive)
+@settings(max_examples=50, deadline=None)
+def test_scale_logbump_is_logbump(t):
+    f = LogBump(2.0, 0.5, 3.0, 0.7)
+    g = scale(f, t)
+    assert isinstance(g, LogBump)
+    assert g.support() == pytest.approx((0.5 * t, 3.0 * t), rel=1e-15)
+    # Near the support edges the exponent -shape / ((u - A)(B - u))
+    # amplifies the rounding of ln(t lo) against ln(x / t), hence atol.
+    x = t * np.linspace(0.45, 3.2, 57)
+    np.testing.assert_allclose(g(x), f(x / t), rtol=1e-12, atol=1e-14)
 
 
-def test_tau_is_value_at_one():
-    f = LogGaussian(2.0, 0.0, 1.0)
-    assert tau(f) == pytest.approx(2.0, rel=1e-12)
+def test_apply_J_needs_log_gaussian():
+    with pytest.raises(TypeError):
+        apply_J(LogBump(1.0, 0.5, 2.0))
 
 
 # ---------------------------------------------------------------------------

@@ -102,8 +102,8 @@ def test_von_mangoldt_comb():
     assert comb[2] == pytest.approx(math.log(2))
     assert comb[8] == pytest.approx(math.log(2))
     assert comb[9] == pytest.approx(math.log(3))
-    assert comb.get(6, 0.0) == pytest.approx(0.0, abs=1e-12)
-    assert comb.get(1, 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert comb[6] == pytest.approx(0.0, abs=1e-12)
+    assert comb[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_weil_derivation_identity():
