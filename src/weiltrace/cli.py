@@ -306,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          "help": "zero table output path"}))
     add("check-poisson", f_flag, ("--x", {"help": "comma list of x"}),
         trunc_flag, ("--tol", {}))
-    add("check-zspectral", f_flag, s_flag, trunc_flag, ("--tol", {}))
+    add("check-zspectral", f_flag, s_flag, ("--tol", {}))
     add("check-twisted-poisson", f_flag, ("--modulus", {"type": int}),
         ("--index", {"type": int}), ("--x", {}), trunc_flag, ("--tol", {}))
     add("check-trace-lemma", ("--f0", {}), ("--f1", {}),

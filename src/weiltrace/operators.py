@@ -4,7 +4,11 @@ The central object is Z f(x) = sum_{n >= 1} f(n x), with inverse
 Z^{-1} f(x) = sum mu(n) f(n x), and the character-twisted version
 L_chi f(x) = sum chi(n) f(n x).  All truncations are certified: a sum
 is only reported when the neglected tail is provably below the
-requested tolerance, otherwise TailBoundError is raised.
+requested tolerance, otherwise TailBoundError is raised.  z_image gives
+Z f on a whole array of arguments with one absolute cutoff: every
+argument sums f up to the point past which the tail at the smallest
+argument is certified, so every value stays within the tolerance and
+Z^{-1} Z f cancels term by term up to that point.
 """
 
 from __future__ import annotations
@@ -55,15 +59,9 @@ def primes_up_to(n: int) -> tuple[int, ...]:
 def mobius_up_to(n: int) -> np.ndarray:
     """mu(1), ..., mu(n) as an int8 array of length n + 1 (index 0 unused)."""
     mu = np.ones(n + 1, dtype=np.int8)
-    prime = np.ones(n + 1, dtype=bool)
-    prime[:2] = False
-    for p in range(2, n + 1):
-        if prime[p]:
-            prime[2 * p::p] = False
-            mu[p::p] *= -1
-            sq = p * p
-            if sq <= n:
-                mu[sq::sq] = 0
+    for p in primes_up_to(n):
+        mu[p::p] *= -1
+        mu[p * p::p * p] = 0
     return mu
 
 
@@ -304,7 +302,11 @@ def _term_cap(f, x: float, tr: TruncationSpec) -> int:
             f"{tr.tail_tol:.1e} with n_max = {tr.n_max}")
     sup = f.support() if hasattr(f, "support") else None
     if sup is not None:
-        return min(tr.n_max, int(math.floor(sup[1] / x)))
+        n = int(math.floor(sup[1] / x))
+        if n > tr.n_max:
+            raise TailBoundError(
+                f"support reaches n = {n} > n_max = {tr.n_max}")
+        return n
     params = f.loggauss_params() if hasattr(f, "loggauss_params") else None
     if params is not None:
         lg = LogGaussian(*params)
@@ -320,33 +322,32 @@ def _term_cap(f, x: float, tr: TruncationSpec) -> int:
     # Generic decaying summand (e.g. the image of a LogGaussian under Z):
     # bound the tail by dyadic blocks, sum_{m > n} |g(m x)| <=
     # sum_k n 2^k |g(2^k n x)| for decreasing |g|, probed until underflow.
-    n = 16
-    while n <= tr.n_max:
-        tail = _dyadic_tail_probe(f, x, n)
+    # Every candidate n = 16 2^j probes points of the same dyadic ladder,
+    # so f is evaluated once, on the whole ladder.
+    starts = (tr.n_max // 16).bit_length()
+    n = 16.0 * 2.0 ** np.arange(starts + 59)
+    v = np.abs(np.asarray(f(n * x)))
+    block = n * v
+    for j in range(starts):
+        tail = _dyadic_tail_probe(v[j:j + 60], block[j:j + 60])
         if tail is not None and tail < tr.tail_tol:
-            return n
-        n *= 2
+            return int(n[j])
     raise TailBoundError(
         f"cannot certify generic tail below {tr.tail_tol:.1e} with "
         f"n_max = {tr.n_max}")
 
 
-def _dyadic_tail_probe(f, x: float, n_from: int) -> float | None:
-    """Dyadic-block tail bound for sum_{m > n_from} |f(m x)|, or None
-    when |f| is not yet decreasing at the probe points."""
-    total = 0.0
-    n = n_from
-    prev = math.inf
-    for _ in range(60):
-        v = float(np.max(np.abs(np.asarray(f(np.array([n * x]))))))
-        if v > prev:
-            return None
-        total += n * v
-        if n * v < 1e-30:
-            return total
-        prev = v
-        n *= 2
-    return None
+def _dyadic_tail_probe(v: np.ndarray, block: np.ndarray) -> float | None:
+    """Sum of the dyadic blocks n 2^k |f(2^k n x)| = block[k] up to the
+    first one below 1e-30, or None when |f| = v is not yet decreasing
+    there or no block underflows."""
+    below = np.flatnonzero(block < 1e-30)
+    if below.size == 0:
+        return None
+    stop = below[0] + 1
+    if np.any(v[1:stop] > v[:stop - 1]):
+        return None
+    return float(np.sum(block[:stop]))
 
 
 def _lattice_sum(f, x: float, tr: TruncationSpec,
@@ -379,26 +380,36 @@ def apply_Z_inverse(f, x: float, tr: TruncationSpec | None = None) -> complex:
 def z_image(f, tr: TruncationSpec | None = None, *,
             inverse: bool = False):
     """Z f (or Z^{-1} f) as a vectorised callable, for composing the
-    lattice operators: the whole (index, argument) grid is evaluated in
-    one call to f, so e.g. apply_Z_inverse(z_image(f), x) runs at numpy
-    speed instead of one lattice sum per argument."""
+    lattice operators: every (index, argument) pair of a call is
+    evaluated in one call to f, so e.g. apply_Z_inverse(z_image(f), x)
+    runs at numpy speed instead of one lattice sum per argument.
+
+    One call has one absolute cutoff t_max = (N + 1) y_min, where
+    N = _term_cap(f, y_min) certifies the tail at the smallest argument,
+    and each argument y sums m = 1 .. floor(t_max / y).  Each value is
+    still within tail_tol: the first omitted argument at y lies past
+    t_max, hence past the first omitted one at y_min, and the
+    log-Gaussian, Gaussian-polynomial and compact-support tail bounds
+    all decrease in both the first omitted argument and y.  A common
+    cutoff also makes Z^{-1} Z f exact up to t_max: sum mu(n) Z f(n x)
+    over the image of one call covers every k with k x <= t_max, so the
+    truncation errors cancel instead of adding up."""
     tr = tr or TruncationSpec()
 
     def image(y):
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        order = np.argsort(y)
-        out = np.empty(y.shape, dtype=complex)
-        # Chunks of nearby arguments share one index cap (the cap is
-        # driven by the smallest argument in the chunk).
-        for start in range(0, y.size, 256):
-            sel = order[start:start + 256]
-            block = y[sel]
-            n_cap = _term_cap(f, float(block.min()), tr)
-            n = np.arange(1, n_cap + 1, dtype=float)
-            vals = np.asarray(f(np.outer(n, block)), dtype=complex)
-            if inverse:
-                vals = vals * mobius_up_to(n_cap).astype(float)[1:, None]
-            out[sel] = vals.sum(axis=0)
+        y_min = float(y.min())
+        t_max = (_term_cap(f, y_min, tr) + 1) * y_min
+        counts = np.floor(t_max / y).astype(np.int64)
+        starts = np.cumsum(counts) - counts
+        m = np.arange(counts.sum()) - np.repeat(starts, counts) + 1
+        vals = np.asarray(f(m * np.repeat(y, counts)), dtype=complex)
+        if inverse:
+            vals = vals * mobius_up_to(int(counts.max()))[m]
+        out = np.zeros(y.shape, dtype=complex)
+        # reduceat gives vals[start], not 0, for an empty segment.
+        summed = counts > 0
+        out[summed] = np.add.reduceat(vals, starts[summed])
         return out if np.any(out.imag) else out.real
 
     return image

@@ -89,6 +89,15 @@ def test_cli_check_poisson(tmp_path):
     assert report["outputs"]["max_residual"] < 1e-10
 
 
+def test_cli_check_zspectral_has_no_trunc_flag(tmp_path):
+    # The identity has no lattice sum to truncate, so --trunc is not
+    # a flag of check-zspectral.
+    status, _ = _run(tmp_path, "check-zspectral", "--f", "loggauss(1,0,1)")
+    assert status == 0
+    assert main(["check-zspectral", "--f", "loggauss(1,0,1)",
+                 "--trunc", "n_max=2"]) == 2
+
+
 def test_cli_lchi_catalan(tmp_path):
     status, report = _run(tmp_path, "lchi", "--modulus", "4",
                           "--index", "1", "--s", "2,0")

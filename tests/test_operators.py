@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weiltrace import (LogGaussian, NonPrimitiveCharacterError,
+from weiltrace import (LogBump, LogGaussian, NonPrimitiveCharacterError,
                        ParityMismatchError, TruncationSpec, apply_L_chi,
                        apply_Z, apply_Z_inverse, character, characters,
                        gaussian_even, gaussian_odd, mobius_up_to, poisson_check, primes_up_to,
                        primitive_characters, scale, twisted_poisson_check,
                        zeta, zspectral_check)
+from weiltrace import operators
+from weiltrace.errors import TailBoundError
 from weiltrace.operators import z_image
 
 
@@ -26,6 +28,18 @@ def test_mobius_up_to():
     expect = [1, -1, -1, 0, -1, 1, -1, 0, 0, 1,
               -1, 0, -1, 1, 1, 0, -1, 0, -1, 0]
     assert list(mu[1:21]) == expect
+
+
+def test_mobius_up_to_matches_dirichlet_inverse_of_one():
+    # sum_{d | n} mu(d) = [n = 1], solved for mu(n) in increasing n.
+    n = 100_000
+    want = np.zeros(n + 1, dtype=np.int64)
+    want[1] = 1
+    for d in range(1, n // 2 + 1):
+        want[2 * d::d] -= want[d]
+    got = mobius_up_to(n)
+    assert got.dtype == np.int8
+    assert np.array_equal(got[1:], want[1:])
 
 
 def test_apply_Z_against_direct_sum():
@@ -53,6 +67,91 @@ def test_mobius_inversion_both_ways():
         assert apply_Z_inverse(zf, x, tr) == pytest.approx(f(x), abs=1e-10)
         zif = z_image(f, tr, inverse=True)
         assert apply_Z(zif, x, tr) == pytest.approx(f(x), abs=1e-10)
+
+
+def test_apply_Z_compact_support_past_n_max_raises():
+    # The support (0.5, 2) at x = 1e-5 needs ~2e5 terms: capping at
+    # n_max would return 3487.24 of a sum of 8622.20.
+    f = LogBump(1.0, 0.5, 2.0, 1.0)
+    with pytest.raises(TailBoundError):
+        apply_Z(f, 1e-5)
+    full = apply_Z(f, 1e-5, TruncationSpec(n_max=200_000))
+    assert full.real == pytest.approx(8622.195, abs=1e-3)
+
+
+def _generic_cap_by_scalar_probes(g, x, tr):
+    """_term_cap's generic branch as one call of g per probe point."""
+    n = 16
+    while n <= tr.n_max:
+        total, m, prev = 0.0, n, math.inf
+        for _ in range(60):
+            v = abs(g(np.array([m * x]))[0])
+            if v > prev:
+                break
+            total += m * v
+            if m * v < 1e-30:
+                if total < tr.tail_tol:
+                    return n
+                break
+            prev = v
+            m *= 2
+        n *= 2
+    return None
+
+
+def test_generic_term_cap_matches_scalar_probes():
+    # Plain callables have no decay metadata, so _term_cap probes them
+    # on one dyadic ladder; mu = 3 puts the peak past the first probes.
+    tr = TruncationSpec(tail_tol=3e-12)
+    for f in (LogGaussian(1.0, 0.0, 1.0), LogGaussian(1.0, 3.0, 0.5)):
+        def g(t):
+            return f(t)
+        for x in (0.01, 0.3, 0.9, 4.0):
+            want = _generic_cap_by_scalar_probes(g, x, tr)
+            if want is None:
+                with pytest.raises(TailBoundError):
+                    operators._term_cap(g, x, tr)
+            else:
+                assert operators._term_cap(g, x, tr) == want
+
+
+Z_IMAGE_FUNCTIONS = (LogGaussian(2.0, 0.4, 0.7), LogBump(1.0, 0.5, 2.0, 1.0),
+                     gaussian_even())
+
+
+@pytest.mark.parametrize("f", Z_IMAGE_FUNCTIONS,
+                         ids=("loggauss", "logbump", "gauss2"))
+def test_z_image_values_are_certified_at_every_argument(f):
+    tr = TruncationSpec(tail_tol=1e-12)
+    rng = np.random.default_rng(7)
+    y = np.exp(rng.permutation(np.linspace(math.log(0.05), math.log(50.0),
+                                           60)))
+    image = z_image(f, tr)
+    values = image(y)
+    for t, v in zip(y, values):
+        assert abs(v - apply_Z(f, float(t), tr)) <= 2 * tr.tail_tol
+    # A value does not depend on which other arguments share the call
+    # beyond the certified tolerance.
+    for others in (y[::2], y[y >= 1.0], y[:1]):
+        for t, v in zip(others, image(others)):
+            assert abs(v - values[y == t][0]) <= 2 * tr.tail_tol
+
+
+def test_mobius_inversion_notices_a_wrong_mobius_value(monkeypatch):
+    true_mobius = operators.mobius_up_to
+
+    def broken(n):
+        mu = true_mobius(n).copy()
+        mu[2] = 1
+        return mu
+
+    monkeypatch.setattr(operators, "mobius_up_to", broken)
+    f = LogGaussian(1.0, 0.0, 1.0)
+    tr = TruncationSpec(tail_tol=1e-13)
+    for x in (0.7, 1.0, 1.9):
+        assert abs(apply_Z_inverse(z_image(f, tr), x, tr) - f(x)) > 1e-3
+        assert abs(apply_Z(z_image(f, tr, inverse=True), x, tr)
+                   - f(x)) > 1e-3
 
 
 def test_character_group_sizes():
