@@ -165,8 +165,8 @@ def _values_command(cfg: dict) -> tuple[dict, bool]:
 
 def _check_command(cfg: dict) -> tuple[dict, bool]:
     cmd = cfg["command"]
-    tr = _parse_trunc(cfg.get("trunc"))
     if cmd == "check-poisson":
+        tr = _parse_trunc(cfg.get("trunc"))
         f = parse_function(_required(cfg, "f"))
         xs = [float(t) for t in _value(cfg, "x", "0.25,0.5,1,2,4").split(",")]
         tol = float(_value(cfg, "tol", 1e-10))
@@ -183,6 +183,7 @@ def _check_command(cfg: dict) -> tuple[dict, bool]:
     if cmd == "check-twisted-poisson":
         f = parse_function(_required(cfg, "f"))
         chi = _character(cfg)
+        tr = _parse_trunc(cfg.get("trunc"))
         xs = [float(t) for t in _value(cfg, "x", "0.5,1,2").split(",")]
         tol = float(_value(cfg, "tol", 1e-7))
         residuals, kappas = {}, {}
@@ -328,6 +329,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
     cfg = {}
     if args.config:
         cfg.update(_read_config_file(args.config))
+    if cfg.get("trunc") is not None and "trunc" not in vars(args):
+        raise ConfigError(f"{args.command} takes no trunc")
     for key, val in vars(args).items():
         if key == "config":
             continue

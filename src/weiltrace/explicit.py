@@ -6,7 +6,8 @@ where z runs over the poles (order +1 at 0 and 1) and critical-line
 zeros (order -1 each) of the completed zeta function, the local term
 W_p(f) = ln(p) sum_e [f(p^e) + p^{-e} f(p^{-e})] collects the powers of
 the prime p, and W_inf is the archimedean local term.  The prime side
-is summed over all primes at once, one numpy pass per exponent e.
+sums, in one call of f, only the prime powers where f can exceed 1e-20,
+and bounds the rest by Chebyshev's psi(x) < 1.03883 x.
 
 W_inf is computed by two genuinely different routes:
   * Weil's digamma form (primary),
@@ -47,6 +48,9 @@ _PV_OUTER_POINTS = 24001
 _CROSS_CHECK_TOL = 1e-5
 # ln(1e308): W_prime_total's largest prime power.
 _LOG_MAX_POWER = 308.0 * math.log(10.0)
+# The prime side leaves out powers where |f| < _PRIME_EPS and bounds them by
+# psi(x) < 1.03883 x, x > 0 (Rosser & Schoenfeld, Illinois J. Math. 6, 1962).
+_PRIME_EPS, _PSI_SLOPE = 1e-20, 1.03883
 
 
 def _mellin_value(f, s: complex) -> complex:
@@ -54,50 +58,63 @@ def _mellin_value(f, s: complex) -> complex:
     return mellin(f, s).value if closed is None else complex(closed)
 
 
-def _prime_tail_bound(f, p_from: float, *, n_grid: int = 2001) -> float:
-    """Upper bound for sum over primes p > p_from of
-    ln(p) [f(p) + f(1/p)/p] (higher powers are dominated separately),
-    via comparison with the integral over all reals above p_from.
+def _psi_tail(a: float, c: float, sig: float, k: int, log_x: float):
+    """1.03883 (X' h(X') + int_{X'}^inf h), X' = max(e^log_x, peak of h),
+    for h(x) = |a| x^{-k} exp(-(ln x - c)^2 / 2 sig^2); inf on overflow."""
+    w, s2 = 1 - k, sig * sig
+    lx = max(log_x, c - k * s2)
+    with np.errstate(over="ignore"):
+        return _PSI_SLOPE * abs(a) * float(
+            np.exp(w * lx - (lx - c) ** 2 / (2.0 * s2))
+            + np.exp(w * c + 0.5 * w * s2) * sig * math.sqrt(0.5 * math.pi)
+            * math.erfc((lx - c - w * s2) / (sig * math.sqrt(2.0))))
 
-    Valid once g(t) = ln(t) (|f(t)| + |f(1/t)|/t) is decreasing past
-    p_from, which holds for the rapidly decaying families here.
-    """
-    u, h = np.linspace(math.log(p_from), math.log(p_from) + 60.0, n_grid,
-                       retstep=True)
-    t = np.exp(u)
-    g = np.log(t) * (np.abs(f(t)) + np.abs(f(1.0 / t)) / t)
-    # sum_{p > P} g(p) <= g(P) + int_P^inf g(t) dt  (decreasing g);
-    # the e >= 2 powers of such p are dominated by the same bound.
-    integral = float(trapezoid(g * t, h))
-    head = float(np.max(g[:1]))
-    return 2.0 * (head + integral)
+
+def _prime_cut(f, tr: TruncationSpec) -> tuple[float, float]:
+    """(L, bound): the prime side keeps the powers n with ln n <= L, and
+    bound covers every power it leaves out.
+
+    Past L, a log-Gaussian has |f(n)|, |f(1/n)| < 1e-20 and a log-bump
+    vanishes at n and 1/n; L <= ln(1e308) keeps n finite.  Each omitted n
+    exceeds X = min(e^L, p_max, 2^(e_max + 1)).  For h(x) = |f(x)| and
+    |f(1/x)| / x, which rise to one peak and then fall, partial summation
+    against psi(x) < 1.03883 x gives sum_{n > X} Lambda(n) h(n) <=
+    1.03883 (X' h(X') + int_{X'}^inf h) with X' = max(X, peak of h); for
+    a log-bump (peak at the middle of its support in ln x) it is at most
+    sup|f| 1.03883 Y for each h whose support ends at Y > X."""
+    params = f.loggauss_params() if hasattr(f, "loggauss_params") else None
+    support = f.support() if hasattr(f, "support") else None
+    log_cap = min(math.log(tr.p_max), (tr.e_max + 1) * math.log(2.0))
+    if params is not None:
+        a, mu, sig = params
+        radius = sig * math.sqrt(2.0 * math.log(max(abs(a) / _PRIME_EPS, 1)))
+        log_cut = min(abs(mu) + radius, _LOG_MAX_POWER)
+        log_x = min(log_cut, log_cap)
+        return log_cut, (_psi_tail(a, mu, sig, 0, log_x)
+                         + _psi_tail(a, -mu, sig, 1, log_x))
+    if support is None:
+        raise TypeError(f"no decay metadata to cut the prime sum of {f!r}")
+    lo, hi = support
+    log_cut = max(math.log(hi), -math.log(lo))
+    ends = [y for y in (hi, 1.0 / lo) if math.log(y) > min(log_cut, log_cap)]
+    return log_cut, _PSI_SLOPE * abs(f(math.sqrt(lo * hi))) * sum(ends)
 
 
 def W_prime_total(f, tr: TruncationSpec | None = None,
                   ) -> tuple[float, float]:
-    """(sum over p <= p_max of ln(p) sum_e [f(p^e) + p^{-e} f(p^{-e})],
-    certified tail bound), in one numpy pass per exponent e <= e_max.
-
-    Each pass keeps the primes with p^e <= 1e308 (below the float
-    maximum with room for rounding), so p^e stays finite and p^{-e}
-    positive; the primes are sorted, so the kept ones are a prefix, and
-    the passes stop when it is empty.
-    """
+    """(sum over p <= p_max, e <= e_max, ln p^e <= L of ln(p) [f(p^e) +
+    p^{-e} f(p^{-e})], bound for the other prime powers), L and the bound
+    from _prime_cut; the kept (p, e) pairs go to f in one flat array."""
     tr = tr or TruncationSpec()
+    log_cut, tail = _prime_cut(f, tr)
     p = np.asarray(primes_up_to(tr.p_max), dtype=float)
     lp = np.log(p)
-    total = np.zeros_like(p)
-    powers = 0
-    for e in range(1, tr.e_max + 1):
-        n = int(np.searchsorted(lp, _LOG_MAX_POWER / e, side="right"))
-        if n == 0:
-            break
-        pe = p[:n] ** e
-        total[:n] += f(pe) + f(1.0 / pe) / pe
-        powers += n
-    WORK["primes"] = p.size
-    WORK["prime_powers"] = powers
-    return float(np.sum(lp * total)), _prime_tail_bound(f, float(tr.p_max))
+    caps = np.minimum(np.floor(log_cut / lp), tr.e_max).astype(int)
+    idx = np.repeat(np.arange(p.size), caps)
+    n = p[idx] ** (np.arange(idx.size) + 1
+                   - np.repeat(np.cumsum(caps) - caps, caps))
+    WORK.update(primes=p.size, prime_powers=n.size)
+    return float(np.sum(lp[idx] * (f(n) + f(1.0 / n) / n))), tail
 
 
 def _richardson(vals: np.ndarray, h: float) -> float:

@@ -98,6 +98,27 @@ def test_cli_check_zspectral_has_no_trunc_flag(tmp_path):
                  "--trunc", "n_max=2"]) == 2
 
 
+@pytest.mark.parametrize("command, lines, status", [
+    ("check-zspectral", "f = loggauss(1,0,1)", 2),
+    ("check-phi-identity", "", 2),
+    ("zeta", "s = 2,0", 2),
+    # read where --trunc is a flag: two terms cannot certify the tail
+    ("check-poisson", "f = gauss2", 3),
+    ("check-twisted-poisson", "f = xgauss2\nmodulus = 5\nindex = 1", 3),
+])
+def test_cli_trunc_in_config_file(tmp_path, command, lines, status):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{lines}\ntrunc = n_max=2\n")
+    got, report = _run(tmp_path, command, "--config", str(cfg))
+    assert got == status
+    if status == 2:
+        assert report["error_type"] == "ConfigError"
+        assert "trunc" in report["error"]
+    else:
+        assert report["inputs"]["trunc"] == "n_max=2"
+        assert report["outputs"]["error_type"] == "TailBoundError"
+
+
 def test_cli_lchi_catalan(tmp_path):
     status, report = _run(tmp_path, "lchi", "--modulus", "4",
                           "--index", "1", "--s", "2,0")

@@ -10,6 +10,7 @@ from weiltrace import (BudgetExceededError, DisagreementError, LogGaussian,
                        spectral_parts, verify_explicit_formula)
 from weiltrace import explicit
 from weiltrace.grids import trapezoid
+from weiltrace.stages import WORK
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -21,9 +22,9 @@ def _wp_direct(f, p, e_max=60):
 
 
 def test_W_prime_total_against_direct_sum():
-    # the vectorised prime side against per-prime sums over every prime
-    for f in (LogGaussian(1.0, -0.5, 1.0), LogGaussian(1.0, 0.3, 0.15),
-              LogGaussian(2.0, 0.3, 0.012),
+    # the cut prime side against per-prime sums over every prime power
+    for f in (LogGaussian(1.0, -0.5, 1.0), LogGaussian(1.0, -5.0, 1.0),
+              LogGaussian(1.0, 0.3, 0.15), LogGaussian(2.0, 0.3, 0.012),
               parse_function("logbump(1,0.5,2,1)")):
         direct = math.fsum(_wp_direct(f, p)
                            for p in primes_up_to(TruncationSpec().p_max))
@@ -42,11 +43,50 @@ def test_prime_side_needs_every_prime(monkeypatch):
         verify_explicit_formula(f, zt)
 
 
-def test_W_prime_total_tail_honest():
-    f = LogGaussian(1.0, 0.0, 1.0)
-    small, small_bound = W_prime_total(f, TruncationSpec(p_max=1000))
-    full, _ = W_prime_total(f, TruncationSpec(p_max=20000))
-    assert abs(full - small) <= small_bound
+def _every_prime_power_sum(f, p_max=20000, e_max=60):
+    # sum over every p <= p_max, e <= e_max with p^e <= 1e308, no cut
+    p = np.asarray(primes_up_to(p_max), dtype=float)
+    lp = np.log(p)
+    terms = []
+    for e in range(1, e_max + 1):
+        n = p[lp * e <= 308.0 * math.log(10.0)] ** e
+        terms.append(lp[:n.size] * (f(n) + f(1.0 / n) / n))
+    return math.fsum(np.concatenate(terms))
+
+
+@pytest.mark.parametrize("expr, e_max", [
+    ("loggauss(1,0,1)", 60), ("loggauss(1,-5,1)", 60),
+    ("loggauss(1,5,1)", 60), ("loggauss(1,0.3,0.15)", 60),
+    ("loggauss(2,0.3,0.012)", 60), ("logbump(1,0.5,2,1)", 60),
+    ("logbump(1,0.5,5000,1)", 60), ("loggauss(1,0,1)", 3)])
+def test_W_prime_total_tail_honest(expr, e_max):
+    # Every prime power W_prime_total leaves out (past its cut, past
+    # p_max = 1000 or past e_max) is covered by the stated bound; the
+    # last term allows for the rounding of the kept sum.
+    f = parse_function(expr)
+    small, bound = W_prime_total(f, TruncationSpec(p_max=1000, e_max=e_max))
+    full = _every_prime_power_sum(f)
+    assert abs(full - small) <= bound + 1e-15 * abs(full)
+    if expr == "logbump(1,0.5,5000,1)":
+        assert abs(full - small) > 1.0     # the support passes p_max
+    if expr == "logbump(1,0.5,2,1)":
+        assert bound == 0.0                # p_max covers the support
+
+
+def test_W_prime_total_work_is_the_cut():
+    # f is evaluated only where it can exceed 1e-20: 1,287 of the 73,740
+    # prime powers p <= 1e4, e <= 60 for (1,0,1), 4 for (1,0.3,0.15),
+    # none for (2,0.3,0.012), whose cut lies below ln 2
+    for f, most in ((LogGaussian(1.0, 0.0, 1.0), 1300),
+                    (LogGaussian(1.0, 0.3, 0.15), 10),
+                    (LogGaussian(2.0, 0.3, 0.012), 0)):
+        value, bound = W_prime_total(f)
+        assert 0 <= WORK["prime_powers"] <= most
+        assert WORK["primes"] == 1229
+        assert bound < 1e-14
+    assert value == 0.0
+    with pytest.raises(TypeError):
+        W_prime_total(lambda x: np.exp(-x))
 
 
 def test_archimedean_constant():
