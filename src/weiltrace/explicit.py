@@ -26,6 +26,7 @@ Their disagreement is monitored and fed into the error budget.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -107,13 +108,18 @@ def W_prime_total(f, tr: TruncationSpec | None = None,
     from _prime_cut; the kept (p, e) pairs go to f in one flat array."""
     tr = tr or TruncationSpec()
     log_cut, tail = _prime_cut(f, tr)
-    p = np.asarray(primes_up_to(tr.p_max), dtype=float)
+    primes = primes_up_to(tr.p_max)
+    # A relative margin keeps the primes at the edge of e^L for the caps
+    # below to decide; exp(ln(1e308)) is finite.
+    kept = bisect_right(primes, math.exp(min(log_cut, _LOG_MAX_POWER))
+                        * (1.0 + 1e-9))
+    p = np.asarray(primes[:kept], dtype=float)
     lp = np.log(p)
     caps = np.minimum(np.floor(log_cut / lp), tr.e_max).astype(int)
     idx = np.repeat(np.arange(p.size), caps)
     n = p[idx] ** (np.arange(idx.size) + 1
                    - np.repeat(np.cumsum(caps) - caps, caps))
-    WORK.update(primes=p.size, prime_powers=n.size)
+    WORK.update(primes=len(primes), prime_powers=n.size)
     return float(np.sum(lp[idx] * (f(n) + f(1.0 / n) / n))), tail
 
 

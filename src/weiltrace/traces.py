@@ -120,7 +120,6 @@ def commutator_trace(f0, f1, phi: AuxiliaryPhi, grid: LogGridSpec) -> float:
     fit inside the doubled window, else WindowError.
     """
     u, h = grid.u_grid()
-    w = grid.weights()
     v0 = _lag_values(f0, u, h)
     v1 = _lag_values(f1, u, h)
     peak = max(np.max(np.abs(v0)), np.max(np.abs(v1)))
@@ -130,8 +129,20 @@ def commutator_trace(f0, f1, phi: AuxiliaryPhi, grid: LogGridSpec) -> float:
             f"kernel support leaves the window: edge/peak = "
             f"{edge / peak:.3e}; enlarge half_width")
     g = v0 * v1[::-1]
-    a = np.correlate(w, w * phi.of_log(u), "full")
+    a = _lag_weights(grid.weights() * phi.of_log(u), h)
     return float(np.dot(g - g[::-1], a))
+
+
+def _lag_weights(v: np.ndarray, h: float) -> np.ndarray:
+    """a[m] = sum_k w_{k+m} v_k for the lags m in [-(n-1), n-1] and the
+    trapezoid weights w (h inside, h/2 at both ends), in O(n): h times
+    the suffix sum of v from k = -m (m < 0) or its prefix sum to
+    k = n-1-m (m >= 0), less half the end term at w_0 (m <= 0) and at
+    w_{n-1} (m >= 0).  Neither sum is a difference, so nothing cancels."""
+    rev, pad = v[::-1], np.zeros(v.size - 1)
+    sums = np.concatenate((np.cumsum(rev)[:-1], np.cumsum(v)[::-1]))
+    ends = np.concatenate((rev, pad)) + np.concatenate((pad, rev))
+    return h * (sums - 0.5 * ends)
 
 
 def trace_rhs(f0, f1, *, n_points: int = 30001,

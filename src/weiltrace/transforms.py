@@ -120,10 +120,15 @@ def mellin_critical_line(f: TestFunction,
 
 def _window_samples(f, s: complex, q: QuadratureSpec):
     """(u, h, f(e^u) e^{s u}, edge) on q's grid; WindowError when the
-    larger endpoint sample, edge, is not negligible against the peak."""
+    larger endpoint sample, edge, is not negligible against the peak, or
+    when every sample is 0 (the mass, if any, lies outside the window)."""
     u, h = q.u_grid()
     vals = np.asarray(f(np.exp(u)), dtype=complex) * np.exp(s * u)
-    scale = float(np.max(np.abs(vals))) or 1.0
+    scale = float(np.max(np.abs(vals)))
+    if scale == 0.0:
+        raise WindowError(
+            f"Mellin window [{q.u_min}, {q.u_max}] holds no mass: every "
+            f"sample is 0")
     edge = max(abs(vals[0]), abs(vals[-1]))
     if edge > 1e-13 * scale:
         raise WindowError(

@@ -1,11 +1,12 @@
 """Locating ordinates of the non-trivial zeros on the critical line.
 
 Zeros are found as sign changes of the Hardy Z-function on a fine scan
-grid, refined by bisection, and the count is cross-checked against the
-Riemann-von Mangoldt estimate so that a missed pair of close zeros (or a
-spurious double-count) is an error, not a silent wrong answer.  Z is
-evaluated as one array per scan and one per bisection round, over the
-midpoints of every bracket still wider than the precision.
+grid, refined by a safeguarded secant method, and the count is
+cross-checked against the Riemann-von Mangoldt estimate so that a missed
+pair of close zeros (or a spurious double-count) is an error, not a
+silent wrong answer.  Z is evaluated as one array per scan and one per
+refinement round, over a pair of probes in every bracket still wider
+than the precision.
 """
 
 from __future__ import annotations
@@ -46,39 +47,63 @@ class ZeroTable:
 @stage("find_zeros")
 def find_zeros(height_bound: float, *, precision: float = 1e-9,
                scan_step: float = 0.05) -> ZeroTable:
-    """All zero ordinates in (0, height_bound], by Z-function bisection.
+    """All zero ordinates in (0, height_bound], by a bracketed secant
+    refinement of the sign changes of Z.
 
     height_bound must be <= 120 (the validated range of the Euler-Maclaurin
-    Z) and should not itself be a zero ordinate.  precision is the
-    bisection half-width target, floor 1e-9.  The final count must
-    agree with the Riemann-von Mangoldt estimate to within 1; otherwise
-    CountMismatchError -- a smaller scan_step is the remedy when a close
-    pair was stepped over.
+    Z) and should not itself be a zero ordinate.  precision, floor 1e-9,
+    is the widest sign-change bracket an ordinate is left in; the
+    ordinate is the secant root of that bracket, clipped into it.  Each
+    round probes every live bracket at x -+ 0.4 precision in one Z call:
+    x is regula falsi on the bracket in round 1 and the secant root of
+    the previous probe pair after that, and the bracket midpoint when
+    that root leaves the bracket or the bracket has not halved over two
+    rounds (Brent 1973, ch. 4), so the bracket at least halves every
+    third round.  The final count must agree with the Riemann-von
+    Mangoldt estimate to within 1; otherwise CountMismatchError -- a
+    smaller scan_step is the remedy when a close pair was stepped over.
     """
     if not 0.0 < height_bound <= 120.0:
         raise ValueError("need 0 < height_bound <= 120")
     precision = max(precision, 1e-9)
+    delta = 0.4 * precision
     n_steps = int(math.ceil(height_bound / scan_step))
     ts = np.minimum(np.arange(n_steps + 1) * scan_step, height_bound)
     zs = hardy_z(ts)
     z0, z1 = zs[:-1], zs[1:]
     bracket = (z0 != 0.0) & ((z0 * z1 < 0.0) | (z1 == 0.0))
-    lo, hi, flo = ts[:-1][bracket], ts[1:][bracket], z0[bracket]
+    lo, hi = ts[:-1][bracket], ts[1:][bracket]
+    flo, fhi = z0[bracket], z1[bracket]
+    x = _secant(lo, hi, flo, fhi)
+    # Widths at the start of the last two rounds, for the halving test.
+    past = [np.full(lo.size, np.inf)] * 2
     rounds, points = 0, ts.size
-    live = np.flatnonzero(hi - lo > precision)
-    while live.size:
-        mid = 0.5 * (lo[live] + hi[live])
-        fm = hardy_z(mid)
-        # A sign change keeps [lo, mid]; otherwise [mid, hi], and an
-        # exact zero closes the bracket at mid.
-        left = flo[live] * fm < 0.0
-        hi[live] = np.where(left | (fm == 0.0), mid, hi[live])
-        lo[live] = np.where(left, lo[live], mid)
-        flo[live] = np.where(left, flo[live], fm)
-        rounds, points = rounds + 1, points + mid.size
-        live = live[hi[live] - lo[live] > precision]
-    found = (0.5 * (lo + hi)).tolist()
-    WORK.update(scan_points=ts.size, bisection_rounds=rounds,
+    while True:
+        # A bracket whose upper value is an exact zero closes there.
+        lo = np.where(fhi == 0.0, hi, lo)
+        live = np.flatnonzero(hi - lo > precision)
+        if not live.size:
+            break
+        lo_l, hi_l, flo_l = lo[live], hi[live], flo[live]
+        xl = np.where((x[live] > lo_l) & (x[live] < hi_l)
+                      & (hi_l - lo_l <= 0.5 * past[0][live]),
+                      x[live], 0.5 * (lo_l + hi_l))
+        xl = np.clip(xl, lo_l + delta, hi_l - delta)
+        a, b = xl - delta, xl + delta
+        fab = hardy_z(np.concatenate([a, b]))
+        fa, fb = fab[:a.size], fab[a.size:]
+        # The sign changes in [lo, a], else in [a, b] (the bracket
+        # closes), else in [b, hi].
+        part = np.select([flo_l * fa <= 0.0, flo_l * fb <= 0.0], [0, 1], 2)
+        past = [past[1], hi - lo]
+        lo[live] = np.choose(part, [lo_l, a, b])
+        hi[live] = np.choose(part, [a, b, hi_l])
+        flo[live] = np.choose(part, [flo_l, fa, fb])
+        fhi[live] = np.choose(part, [fa, fb, fhi[live]])
+        x[live] = _secant(a, b, fa, fb)
+        rounds, points = rounds + 1, points + 2 * a.size
+    found = np.clip(_secant(lo, hi, flo, fhi), lo, hi).tolist()
+    WORK.update(scan_points=ts.size, refine_rounds=rounds,
                 hardy_z_points=points)
     expected = zero_count_estimate(height_bound)
     if abs(len(found) - expected) > 1.0 + 0.3:
@@ -88,6 +113,13 @@ def find_zeros(height_bound: float, *, precision: float = 1e-9,
             f"smaller scan_step")
     return ZeroTable(ordinates=tuple(found), height_bound=height_bound,
                      precision=precision, source="computed")
+
+
+def _secant(a, b, fa, fb):
+    """Root of the line through (a, fa) and (b, fb); nan or inf when the
+    line is flat."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return a - fa * (b - a) / (fb - fa)
 
 
 def save_zeros(table: ZeroTable, path: str) -> None:

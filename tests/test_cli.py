@@ -274,10 +274,11 @@ def test_cli_stage_timings_and_work(tmp_path, monkeypatch, capsys):
     assert list(report["timings"]) == ["find_zeros"]
     work = report["work"]
     assert work["scan_points"] == 1201
-    # 26 halvings take a 0.05 scan bracket below the 1e-9 precision
-    assert work["bisection_rounds"] == 26
+    # secant rounds close a 0.05 scan bracket below the 1e-9 precision,
+    # probing each of the 13 brackets at two points per round
+    assert work["refine_rounds"] <= 4
     assert (work["scan_points"] < work["hardy_z_points"]
-            <= work["scan_points"] + 13 * 26)
+            <= work["scan_points"] + 2 * 13 * 4)
 
 
 def test_cli_closed_pipe_no_traceback():
@@ -410,6 +411,23 @@ def test_cli_window_error_is_certification_failure(tmp_path, argv):
     status, report = _run(tmp_path, *argv)
     assert status == 3
     assert report["outputs"]["error_type"] == "WindowError"
+
+
+@pytest.mark.parametrize("argv", [
+    ("mellin", "--f", "loggauss(1,800,1)", "--s", "0.5,1"),
+    ("verify-explicit-formula", "--f", "loggauss(1,800,1)",
+     "--zeros", "auto:60", "--primes", "10000"),
+    ("verify-explicit-formula", "--f", "logbump(1,1e30,1e31,1)",
+     "--zeros", "auto:60", "--primes", "10000"),
+])
+def test_cli_mass_outside_mellin_window(tmp_path, monkeypatch, argv):
+    # every sample in the Mellin window is 0, which used to read as a
+    # transform of 0 with no error (and W_infty = 0)
+    monkeypatch.setenv("WEILTRACE_CACHE", str(tmp_path))
+    status, report = _run(tmp_path, *argv)
+    assert status == 3
+    assert report["outputs"]["error_type"] == "WindowError"
+    assert "no mass" in report["outputs"]["error"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,6 +9,7 @@ from weiltrace import (LogGaussian, LogGridSpec, build_phi, cinf_step,
                        commutator_trace, derivation_inverse_identity,
                        phi_log_identity, toeplitz_trace_check, trace_rhs,
                        von_mangoldt_comb, weil_derivation_check)
+from weiltrace.traces import _lag_weights
 
 # criterion 8's first pair
 F0 = LogGaussian(1.0, 0.0, 0.7)
@@ -57,6 +58,18 @@ def test_commutator_trace_matches_dense_kernel():
     dense = float(np.sum(w * np.diag(left @ right)))
     assert commutator_trace(F0, F1, phi, grid) == pytest.approx(dense,
                                                                 abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [16, 17, 2048])
+def test_lag_weights_match_correlate(n):
+    grid = LogGridSpec(n_points=n, half_width=8.0)
+    u, h = grid.u_grid()
+    w = grid.weights()
+    v = w * build_phi(1.0).of_log(u)
+    want = np.correlate(w, v, "full")
+    got = _lag_weights(v, h)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_commutator_trace_phi_width_independent():

@@ -1,8 +1,12 @@
+import numpy as np
 import pytest
 
+import weiltrace.zeros
 from weiltrace import (CountMismatchError, OrderViolationError,
                        TableParseError, ZeroTable, find_zeros, load_zeros,
                        save_zeros)
+from weiltrace.special import hardy_z
+from weiltrace.stages import WORK
 
 # First three ordinates from an independent multiprecision bisection
 # oracle (15 significant digits).
@@ -65,10 +69,59 @@ def test_reference_table_fixture(reference_zeros):
         FIRST_THREE[0], abs=1e-12)
 
 
-def test_find_zeros_to_120_against_mpmath():
+@pytest.fixture(scope="module")
+def mpmath_ordinates():
     mpmath = pytest.importorskip("mpmath")
+    return [float(mpmath.zetazero(k).imag) for k in range(1, 39)]
+
+
+def test_find_zeros_to_120_against_mpmath(mpmath_ordinates):
     table = find_zeros(120.0)
     assert len(table.ordinates) == 38
-    for k, got in enumerate(table.ordinates, start=1):
-        want = float(mpmath.zetazero(k).imag)
+    for got, want in zip(table.ordinates, mpmath_ordinates):
         assert abs(got - want) <= table.precision
+
+
+def _secant_faults(table, mpmath_ordinates):
+    """Ordinates more than 1e-12 from mpmath, or without a sign change of
+    the true Z across [g - precision, g + precision]."""
+    g = np.array(table.ordinates)
+    want = np.array(mpmath_ordinates)
+    if g.size != want.size:
+        return [f"{g.size} ordinates, want {want.size}"]
+    off = np.flatnonzero(np.abs(g - want) > 1e-12)
+    signs = hardy_z(g - table.precision) * hardy_z(g + table.precision)
+    return ([f"gamma_{k + 1} off by {g[k] - want[k]:.2e}" for k in off]
+            + [f"no sign change at gamma_{k + 1}"
+               for k in np.flatnonzero(signs >= 0.0)])
+
+
+def test_find_zeros_secant_ordinates(mpmath_ordinates):
+    assert _secant_faults(find_zeros(120.0), mpmath_ordinates) == []
+
+
+def test_find_zeros_secant_check_notices_shifted_z(monkeypatch,
+                                                   mpmath_ordinates):
+    # Z + 1e-6 moves every root by about 1e-6 / |Z'|
+    monkeypatch.setattr(weiltrace.zeros, "hardy_z",
+                        lambda t: hardy_z(t) + 1e-6)
+    faults = _secant_faults(find_zeros(120.0), mpmath_ordinates)
+    assert len(faults) >= 38
+
+
+@pytest.mark.parametrize("z, max_rounds", [
+    (lambda t: (t - 14.1347) ** 3, 60),
+    (lambda t: np.cbrt(t - 14.1347), 60),
+    # the secant alone takes 133 rounds here
+    (lambda t: (t - 14.1347) ** 9, 3 * 26),
+], ids=["triple_root", "infinite_slope", "ninefold_root"])
+def test_find_zeros_secant_terminates(monkeypatch, z, max_rounds):
+    # secant steps crawl towards a multiple root and overshoot on a cube
+    # root; the midpoint fallback halves the bracket at least every third
+    # round, so no bracket takes more than 3 x 26 rounds (26 halvings
+    # take the 0.05 scan step below 1e-9)
+    monkeypatch.setattr(weiltrace.zeros, "hardy_z", z)
+    table = find_zeros(15.0)
+    assert len(table.ordinates) == 1
+    assert abs(table.ordinates[0] - 14.1347) <= 1e-9
+    assert WORK["refine_rounds"] <= max_rounds
