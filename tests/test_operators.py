@@ -69,6 +69,22 @@ def test_mobius_inversion_both_ways():
         assert apply_Z(zif, x, tr) == pytest.approx(f(x), abs=1e-10)
 
 
+@pytest.mark.parametrize("f", (LogGaussian(1.0, 0.0, 1.0),
+                               LogGaussian(2.0, 0.4, 0.7)),
+                         ids=("loggauss101", "loggauss2"))
+def test_mobius_inversion_is_exact_up_to_rounding(f):
+    # z_image's common cutoff makes both round trips cancel term by term,
+    # so only rounding is left.  A cutoff on a lattice point kept or
+    # dropped f((N + 1) x) depending on how floor() rounded, which left
+    # 2.2e-13 at x = 5.11134 and 4.6e-13 at worst on this grid.
+    tr = TruncationSpec(tail_tol=3e-12)
+    zf, zif = z_image(f, tr), z_image(f, tr, inverse=True)
+    for x in np.exp(np.linspace(-0.2, 1.8, 401)):
+        x = float(x)
+        assert abs(apply_Z_inverse(zf, x, tr) - f(x)) < 1e-13
+        assert abs(apply_Z(zif, x, tr) - f(x)) < 1e-13
+
+
 def test_apply_Z_compact_support_past_n_max_raises():
     # The support (0.5, 2) at x = 1e-5 needs ~2e5 terms: capping at
     # n_max would return 3487.24 of a sum of 8622.20.
@@ -215,6 +231,13 @@ def test_zspectral():
     f = LogGaussian(1.0, 0.0, 1.0)
     for s in (2.0, complex(1.5, 10.0), complex(3.0, -20.0)):
         assert zspectral_check(f, s) < 1e-9
+
+
+def test_zspectral_residual_is_relative():
+    # |M f(4 - 0.1i)| = 7.4e3 for this f: the unscaled residual was
+    # 5.1e-12, the rounding of zeta(s) times |M f(s)|.
+    f = LogGaussian(1.0, 0.0, 1.0)
+    assert zspectral_check(f, complex(4.0, -0.1)) < 1e-14
 
 
 def test_apply_L_chi_parity_mismatch():
