@@ -73,7 +73,7 @@ def _parse_complex(text: str) -> complex:
     raise ConfigError(f"cannot parse {text!r} as 're,im'")
 
 
-def _parse_trunc(text: str | None, primes=None, e_max=None) -> TruncationSpec:
+def _parse_trunc(text: str | None) -> TruncationSpec:
     kwargs = {}
     if text:
         for item in text.split(","):
@@ -82,10 +82,6 @@ def _parse_trunc(text: str | None, primes=None, e_max=None) -> TruncationSpec:
             if key not in ("n_max", "p_max", "e_max", "tail_tol"):
                 raise ConfigError(f"unknown truncation field {key!r}")
             kwargs[key] = float(val) if key == "tail_tol" else int(val)
-    if primes is not None:
-        kwargs["p_max"] = int(primes)
-    if e_max is not None:
-        kwargs["e_max"] = int(e_max)
     return TruncationSpec(**kwargs)
 
 
@@ -235,8 +231,9 @@ def _verify_command(cfg: dict) -> tuple[dict, bool]:
     f = _parse_half_line_function(cfg, "f")
     table, table_path = _resolve_zeros(_required(cfg, "zeros"),
                                        cfg.get("out"))
-    tr = _parse_trunc(cfg.get("trunc"), primes=cfg.get("primes"),
-                      e_max=cfg.get("e_max"))
+    cuts = {"p_max": cfg.get("primes"), "e_max": cfg.get("e_max")}
+    tr = TruncationSpec(**{k: int(v) for k, v in cuts.items()
+                           if v is not None})
     tol = float(cfg.get("tol") or 1e-4)
     report = verify_explicit_formula(f, table, tr, budget_check=False)
     out = report.as_dict()
@@ -320,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("--zeros", {"help": "zero table path or auto:T"}),
         ("--primes", {"type": int}), ("--e-max", {"type": int,
                                                   "dest": "e_max"}),
-        trunc_flag, ("--tol", {}))
+        ("--tol", {}))
     return parser
 
 

@@ -260,12 +260,15 @@ def verify_explicit_formula(f, zt: ZeroTable,
     the accumulated error budget. BudgetExceededError when the residual
     is larger than the budget can explain."""
     tr = tr or TruncationSpec()
+    # W_infty goes first: its Mellin-window check rejects an f with no
+    # mass in the window before the spectral side's closed-form Mellin
+    # transform overflows on it.
+    with stage("archimedean"):
+        arch_val, arch_est, arch_dis = W_infty(f)
     with stage("spectral"):
         poles, zero_sum, spec_bound = spectral_parts(f, zt)
     with stage("primes"):
         prime_val, prime_bound = W_prime_total(f, tr)
-    with stage("archimedean"):
-        arch_val, arch_est, arch_dis = W_infty(f)
     spec_val = poles - zero_sum
     residual = abs(spec_val - prime_val - arch_val)
     budgets = {

@@ -168,21 +168,6 @@ class ParityFunction:
     def at_zero(self) -> complex:
         return sum(c for c, k, _ in self.terms if k == 0)
 
-    def __add__(self, other: "ParityFunction") -> "ParityFunction":
-        if self.parity != other.parity:
-            raise ValueError("cannot add functions of opposite parity")
-        return ParityFunction(self.parity, self.terms + other.terms)
-
-    def __mul__(self, c) -> "ParityFunction":
-        return ParityFunction(
-            self.parity,
-            tuple((c * cj, k, alpha) for cj, k, alpha in self.terms))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * (-1)
-
     def dilate(self, t: float) -> "ParityFunction":
         """lambda_t f: x -> f(x / t)."""
         if not t > 0:

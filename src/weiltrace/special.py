@@ -1,9 +1,9 @@
 """Special functions: Gamma, digamma, zeta, Hurwitz zeta, the completed
 zeta function, Dirichlet L-functions, and the Hardy Z-function.
 
-All but xi, L and Lambda are elementwise on numpy arrays, through the
-same code as for a scalar, which gives a Python complex (a float for
-theta, the zero count and Z): a whole zero-scan grid is one Z call.
+All but xi and L are elementwise on numpy arrays, through the same code
+as for a scalar, which gives a Python complex (a float for theta, the
+zero count and Z): a whole zero-scan grid is one Z call.
 
 Everything here is self-contained binary64 arithmetic: Gamma by the
 Lanczos approximation, zeta and Hurwitz zeta by Euler-Maclaurin with
@@ -122,7 +122,7 @@ def digamma(z):
     return complex(out[0]) if scalar else out
 
 
-def zeta_tail(n_start, s, n_bernoulli: int = 12):
+def zeta_tail(n_start, s):
     """Euler-Maclaurin estimate of sum_{n > N} n^{-s} (N = n_start, also
     a non-integer: then over N + 1, N + 2, ...), elementwise in N and s.
 
@@ -136,9 +136,9 @@ def zeta_tail(n_start, s, n_bernoulli: int = 12):
     poch = s  # s (s+1) ... rising
     power = big_n ** (-s - 1.0)
     fact = 1.0
-    for k in range(1, n_bernoulli + 1):
+    for k, b2k in enumerate(_BERNOULLI_EVEN, start=1):
         fact *= (2.0 * k - 1.0) * (2.0 * k)
-        out += _BERNOULLI_EVEN[k - 1] / fact * poch * power
+        out += b2k / fact * poch * power
         poch = poch * (s + (2.0 * k - 1.0)) * (s + 2.0 * k)
         power /= big_n * big_n
     return complex(out) if scalar else out
@@ -244,19 +244,6 @@ def l_chi(chi, s: complex) -> complex:
     a = np.flatnonzero(values) + 1
     total = np.sum(values[a - 1] * hurwitz_zeta(s, a / d))
     return d ** (-s) * complex(total)
-
-
-def lambda_chi(chi, s: complex) -> complex:
-    """Completed Dirichlet L-function
-    Lambda(s, chi) = (d/pi)^{(s+a)/2} Gamma((s+a)/2) L(s, chi),
-    with a = 0 for even chi, 1 for odd chi (standard normalisation,
-    external to the operator picture; |Lambda_chi(s)| equals
-    |Lambda_{conj chi}(1-s)| by the functional equation)."""
-    s = complex(s)
-    a = 0 if chi.parity == 1 else 1
-    d = chi.modulus
-    return ((d / math.pi) ** ((s + a) / 2.0) * gamma((s + a) / 2.0)
-            * l_chi(chi, s))
 
 
 def rs_theta(t):

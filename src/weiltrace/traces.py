@@ -12,11 +12,6 @@ Two identities are checked numerically on a logarithmic grid:
 
   * the switch identity  integral (phi(z) - phi(x z)) d*z = ln(1/x),
     which is what makes the trace independent of the particular phi.
-
-The derivation calculus of the lattice operators is checked exactly on
-weighted Dirac combs: conv(Z) d(conv(Z^{-1})) is a comb supported on
-inverse prime powers with weights -ln p, equivalently tau applied after
-convolving recovers the von Mangoldt weights.
 """
 
 from __future__ import annotations
@@ -28,7 +23,6 @@ import numpy as np
 
 from .errors import WindowError
 from .grids import cinf_step, trapezoid
-from .operators import TruncationSpec, mobius_up_to, primes_up_to
 from .stages import WORK, stage
 
 
@@ -162,70 +156,3 @@ def toeplitz_trace_check(f0, f1, phi: AuxiliaryPhi,
     WORK["trace_n"] = grid.n_points
     with stage("trace"):
         return abs(commutator_trace(f0, f1, phi, grid) - trace_rhs(f0, f1))
-
-
-# ---------------------------------------------------------------------------
-# Dirac-comb derivation calculus
-# ---------------------------------------------------------------------------
-
-def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Multiplicative convolution of combs on {1/n : n <= n_max}, held as
-    arrays of weights indexed by n (index 0 unused, zero): indices
-    multiply, weights convolve, truncated at n_max.  Loops over the
-    nonzero weights of a, so pass the sparser comb first."""
-    n_max = a.size - 1
-    out = np.zeros_like(a)
-    for d in np.flatnonzero(a):
-        out[d::d] += a[d] * b[1:n_max // d + 1]
-    return out
-
-
-def _combs(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The combs of Z and Z^{-1} (weights 1 and mu(n) at 1/n) and the
-    derivation's factor ln(1/n) = -ln n, as arrays indexed by n."""
-    n = np.arange(n_max + 1)
-    z = (n > 0).astype(float)
-    return z, mobius_up_to(n_max) * z, -np.log(np.maximum(n, 1))
-
-
-def von_mangoldt_comb(n_max: int) -> np.ndarray:
-    """conv(Z) applied to d(comb of Z^{-1}): the comb algebra route to
-    the von Mangoldt weights, indexed by n <= n_max, computed without
-    any prime sieve."""
-    z, z_inv, d = _combs(n_max)
-    return _convolve(d * z_inv, z)
-
-
-def weil_derivation_check(f, tr: TruncationSpec | None = None) -> float:
-    """Residual between tau(f convolved against the comb-algebra
-    weights) and the direct prime-power sum
-    sum_p sum_e ln(p) f(p^e): the same finite sum assembled in two
-    different index orders, so agreement is a roundoff-level check of
-    the derivation calculus."""
-    tr = tr or TruncationSpec()
-    comb = von_mangoldt_comb(tr.n_max)
-    lhs = float(np.sum(comb[1:] * np.asarray(
-        f(np.arange(1.0, tr.n_max + 1)), dtype=float)))
-    qs, lps = [], []
-    for p in primes_up_to(tr.n_max):
-        lp = math.log(p)
-        q = p
-        e = 1
-        while q <= tr.n_max and e <= tr.e_max:
-            qs.append(float(q))
-            lps.append(lp)
-            q *= p
-            e += 1
-    rhs = float(np.sum(np.array(lps)
-                       * np.asarray(f(np.array(qs)), dtype=float)))
-    return abs(lhs - rhs)
-
-
-def derivation_inverse_identity(n_max: int = 500) -> float:
-    """Max weight discrepancy between d(comb of Z^{-1}) and
-    -Z^{-1} (d Z) Z^{-1} as truncated combs: the Leibniz rule
-    d(Z^{-1}) = -Z^{-1} (d Z) Z^{-1} holds index-by-index below the
-    truncation."""
-    z, z_inv, d = _combs(n_max)
-    rhs = -_convolve(z_inv, _convolve(z_inv, d * z))
-    return float(np.max(np.abs(d * z_inv - rhs)))

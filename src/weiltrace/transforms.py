@@ -5,8 +5,7 @@ The Fourier transform uses the convention
 under which F is an involution on even functions and F^2 = -id on odd
 ones.  On the Gaussian-polynomial family the transform is computed
 symbolically (term by term, via the Hermite-style derivative recurrence),
-so it is exact up to arithmetic rounding; a plain quadrature version is
-kept as an independent cross-check oracle.
+so it is exact up to arithmetic rounding.
 
 The Mellin transform uses the multiplicative-Haar normalisation
     (M f)(s) = integral_0^inf f(x) x^s dx/x;
@@ -48,18 +47,6 @@ def fourier(f: ParityFunction) -> ParityFunction:
         for d, c in poly.items():
             out.append((prefactor * c, d, 1.0 / alpha))
     return ParityFunction(parity=f.parity, terms=tuple(out))
-
-
-def fourier_quadrature(f, y, *, half_width: float = 12.0,
-                       n_points: int = 8193) -> complex:
-    """Oracle: (F f)(y) by trapezoid quadrature on [-L, L].
-
-    f must decay to negligible size by |x| = half_width.  Slow but
-    independent of the symbolic route; used for cross-checks.
-    """
-    x, h = np.linspace(-half_width, half_width, n_points, retstep=True)
-    vals = np.asarray(f(x), dtype=complex) * np.exp(2j * math.pi * x * y)
-    return complex(trapezoid(vals, h))
 
 
 @dataclass(frozen=True)

@@ -40,35 +40,36 @@ class ZeroTable:
             raise OrderViolationError(
                 "ordinate above the stated height bound")
 
-    def __len__(self) -> int:
-        return len(self.ordinates)
+
+# Step of the sign-change scan of Z, and the widest bracket an ordinate
+# is left in (the table's stated precision).
+SCAN_STEP = 0.05
+PRECISION = 1e-9
 
 
 @stage("find_zeros")
-def find_zeros(height_bound: float, *, precision: float = 1e-9,
-               scan_step: float = 0.05) -> ZeroTable:
+def find_zeros(height_bound: float) -> ZeroTable:
     """All zero ordinates in (0, height_bound], by a bracketed secant
-    refinement of the sign changes of Z.
+    refinement of the sign changes of Z on a SCAN_STEP grid.
 
     height_bound must be <= 120 (the validated range of the Euler-Maclaurin
-    Z) and should not itself be a zero ordinate.  precision, floor 1e-9,
-    is the widest sign-change bracket an ordinate is left in; the
-    ordinate is the secant root of that bracket, clipped into it.  Each
-    round probes every live bracket at x -+ 0.4 precision in one Z call:
-    x is regula falsi on the bracket in round 1 and the secant root of
-    the previous probe pair after that, and the bracket midpoint when
-    that root leaves the bracket or the bracket has not halved over two
-    rounds (Brent 1973, ch. 4), so the bracket at least halves every
-    third round.  The final count must agree with the Riemann-von
-    Mangoldt estimate to within 1; otherwise CountMismatchError -- a
-    smaller scan_step is the remedy when a close pair was stepped over.
+    Z) and should not itself be a zero ordinate.  Each sign-change
+    bracket is narrowed to at most PRECISION, and the ordinate is the
+    secant root of that bracket, clipped into it.  Each round probes
+    every live bracket at x -+ 0.4 PRECISION in one Z call: x is regula
+    falsi on the bracket in round 1 and the secant root of the previous
+    probe pair after that, and the bracket midpoint when that root
+    leaves the bracket or the bracket has not halved over two rounds
+    (Brent 1973, ch. 4), so the bracket at least halves every third
+    round.  The final count must agree with the Riemann-von Mangoldt
+    estimate to within 1; otherwise CountMismatchError (a close pair
+    was stepped over, or a spurious sign change was found).
     """
     if not 0.0 < height_bound <= 120.0:
         raise ValueError("need 0 < height_bound <= 120")
-    precision = max(precision, 1e-9)
-    delta = 0.4 * precision
-    n_steps = int(math.ceil(height_bound / scan_step))
-    ts = np.minimum(np.arange(n_steps + 1) * scan_step, height_bound)
+    delta = 0.4 * PRECISION
+    n_steps = int(math.ceil(height_bound / SCAN_STEP))
+    ts = np.minimum(np.arange(n_steps + 1) * SCAN_STEP, height_bound)
     zs = hardy_z(ts)
     z0, z1 = zs[:-1], zs[1:]
     bracket = (z0 != 0.0) & ((z0 * z1 < 0.0) | (z1 == 0.0))
@@ -81,7 +82,7 @@ def find_zeros(height_bound: float, *, precision: float = 1e-9,
     while True:
         # A bracket whose upper value is an exact zero closes there.
         lo = np.where(fhi == 0.0, hi, lo)
-        live = np.flatnonzero(hi - lo > precision)
+        live = np.flatnonzero(hi - lo > PRECISION)
         if not live.size:
             break
         lo_l, hi_l, flo_l = lo[live], hi[live], flo[live]
@@ -109,10 +110,9 @@ def find_zeros(height_bound: float, *, precision: float = 1e-9,
     if abs(len(found) - expected) > 1.0 + 0.3:
         raise CountMismatchError(
             f"found {len(found)} zeros below {height_bound} but the "
-            f"counting estimate gives {expected:.2f}; rerun with a "
-            f"smaller scan_step")
+            f"counting estimate gives {expected:.2f}")
     return ZeroTable(ordinates=tuple(found), height_bound=height_bound,
-                     precision=precision, source="computed")
+                     precision=PRECISION, source="computed")
 
 
 def _secant(a, b, fa, fb):
@@ -137,7 +137,7 @@ def load_zeros(path: str) -> ZeroTable:
     """Read a zero table written by save_zeros (or hand-made in the same
     format).  Malformed lines raise TableParseError with the line number."""
     height = None
-    precision = 1e-9
+    precision = PRECISION
     source = f"ingested:{path}"
     ordinates = []
     with open(path) as fh:

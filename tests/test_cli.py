@@ -98,6 +98,13 @@ def test_cli_check_zspectral_has_no_trunc_flag(tmp_path):
                  "--trunc", "n_max=2"]) == 2
 
 
+def test_cli_verify_has_no_trunc_flag():
+    # n_max and tail_tol never reach the prime sum, and p_max and e_max
+    # are --primes and --e-max
+    assert main(["verify-explicit-formula", "--f", "loggauss(1,0,1)",
+                 "--zeros", "auto:60", "--trunc", "n_max=3"]) == 2
+
+
 @pytest.mark.parametrize("command, lines, status", [
     ("check-zspectral", "f = loggauss(1,0,1)", 2),
     ("check-phi-identity", "", 2),
@@ -105,6 +112,8 @@ def test_cli_check_zspectral_has_no_trunc_flag(tmp_path):
     # read where --trunc is a flag: two terms cannot certify the tail
     ("check-poisson", "f = gauss2", 3),
     ("check-twisted-poisson", "f = xgauss2\nmodulus = 5\nindex = 1", 3),
+    # the prime cut is set by --primes and --e-max, not by trunc
+    ("verify-explicit-formula", "f = loggauss(1,0,1)\nzeros = auto:60", 2),
 ])
 def test_cli_trunc_in_config_file(tmp_path, command, lines, status):
     cfg = tmp_path / "run.cfg"
@@ -428,6 +437,18 @@ def test_cli_mass_outside_mellin_window(tmp_path, monkeypatch, argv):
     assert status == 3
     assert report["outputs"]["error_type"] == "WindowError"
     assert "no mass" in report["outputs"]["error"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_mass_outside_mellin_window_warns_nothing(tmp_path, monkeypatch):
+    # W_infty's window check runs before the spectral side, whose closed
+    # form Mellin transform would overflow for this f
+    monkeypatch.setenv("WEILTRACE_CACHE", str(tmp_path))
+    status, report = _run(tmp_path, "verify-explicit-formula",
+                          "--f", "loggauss(1,800,1)", "--zeros", "auto:60",
+                          "--primes", "10000")
+    assert status == 3
+    assert report["outputs"]["error_type"] == "WindowError"
 
 
 @pytest.mark.parametrize("argv", [

@@ -114,13 +114,3 @@ def test_parity_dilate(t, x):
     f = ParityFunction(+1, ((1.0, 2, 1.0), (0.5, 0, 2.0)))
     assert complex(f.dilate(t)(x)) == pytest.approx(
         complex(f(x / t)), abs=1e-12)
-
-
-def test_parity_algebra():
-    f = gaussian_even(1.0, 1.0)
-    g = gaussian_even(1.0, 2.0)
-    assert (f + g)(0.7) == pytest.approx(f(0.7) + g(0.7), rel=1e-14)
-    assert (3.0 * f)(0.7) == pytest.approx(3.0 * f(0.7), rel=1e-14)
-    assert (-f)(0.7) == pytest.approx(-f(0.7), rel=1e-14)
-    with pytest.raises(ValueError):
-        gaussian_even() + gaussian_odd()

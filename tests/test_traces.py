@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weiltrace import (LogGaussian, LogGridSpec, build_phi, cinf_step,
-                       commutator_trace, derivation_inverse_identity,
-                       phi_log_identity, toeplitz_trace_check, trace_rhs,
-                       von_mangoldt_comb, weil_derivation_check)
+                       commutator_trace, phi_log_identity,
+                       toeplitz_trace_check, trace_rhs)
 from weiltrace.traces import _lag_weights
 
 # criterion 8's first pair
@@ -109,20 +108,3 @@ def test_trace_rhs_oracle():
         f0(np.exp(u)) * f1(np.exp(-u)) * (-u), u)
     assert got == pytest.approx(float(expect), abs=1e-10)
 
-
-def test_von_mangoldt_comb():
-    comb = von_mangoldt_comb(20)
-    assert comb[2] == pytest.approx(math.log(2))
-    assert comb[8] == pytest.approx(math.log(2))
-    assert comb[9] == pytest.approx(math.log(3))
-    assert comb[6] == pytest.approx(0.0, abs=1e-12)
-    assert comb[1] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_weil_derivation_identity():
-    f = LogGaussian(1.0, 0.0, 1.0)
-    assert weil_derivation_check(f) < 1e-12
-
-
-def test_derivation_inverse_identity():
-    assert derivation_inverse_identity(500) < 1e-12

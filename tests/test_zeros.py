@@ -109,6 +109,14 @@ def test_find_zeros_secant_check_notices_shifted_z(monkeypatch,
     assert len(faults) >= 38
 
 
+def test_find_zeros_count_mismatch(monkeypatch):
+    # |Z| has no sign change, so no zero is found where the counting
+    # estimate expects three
+    monkeypatch.setattr(weiltrace.zeros, "hardy_z", lambda t: abs(hardy_z(t)))
+    with pytest.raises(CountMismatchError):
+        find_zeros(30.0)
+
+
 @pytest.mark.parametrize("z, max_rounds", [
     (lambda t: (t - 14.1347) ** 3, 60),
     (lambda t: np.cbrt(t - 14.1347), 60),
