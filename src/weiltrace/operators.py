@@ -185,7 +185,8 @@ class DirichletCharacter:
                    for a in range(d))
 
 
-def characters(d: int) -> list[DirichletCharacter]:
+@lru_cache(maxsize=32)
+def characters(d: int) -> tuple[DirichletCharacter, ...]:
     """All Dirichlet characters mod d, in a deterministic order.
 
     The order enumerates exponent tuples against the unit-group
@@ -223,7 +224,7 @@ def characters(d: int) -> list[DirichletCharacter]:
         out.append(DirichletCharacter(modulus=d, values=tuple(vals),
                                       index=idx))
         idx += 1
-    return out
+    return tuple(out)
 
 
 def _exponent_tuples(orders: list[int]):

@@ -4,9 +4,10 @@ Zeros are found as sign changes of the Hardy Z-function on a fine scan
 grid, refined by a safeguarded secant method, and the count is
 cross-checked against the Riemann-von Mangoldt estimate so that a missed
 pair of close zeros (or a spurious double-count) is an error, not a
-silent wrong answer.  Z is evaluated as one array per scan and one per
-refinement round, over a pair of probes in every bracket still wider
-than the precision.
+silent wrong answer.  The scan evaluates Z on the grid by
+special.hardy_z_grid, whose partial sums are one matrix product; each
+refinement round evaluates hardy_z on one array, a pair of probes in
+every bracket still wider than the precision.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CountMismatchError, OrderViolationError, TableParseError
-from .special import hardy_z, zero_count_estimate
+from .special import hardy_z, hardy_z_grid, zero_count_estimate
 from .stages import WORK, stage
 
 
@@ -50,7 +51,9 @@ PRECISION = 1e-9
 @stage("find_zeros")
 def find_zeros(height_bound: float) -> ZeroTable:
     """All zero ordinates in (0, height_bound], by a bracketed secant
-    refinement of the sign changes of Z on a SCAN_STEP grid.
+    refinement of the sign changes of Z on a SCAN_STEP grid: the grid
+    points below height_bound (by hardy_z_grid), then height_bound
+    itself (by hardy_z).  Brackets start at exactly these abscissae.
 
     height_bound must be <= 120 (the validated range of the Euler-Maclaurin
     Z) and should not itself be a zero ordinate.  Each sign-change
@@ -68,9 +71,10 @@ def find_zeros(height_bound: float) -> ZeroTable:
     if not 0.0 < height_bound <= 120.0:
         raise ValueError("need 0 < height_bound <= 120")
     delta = 0.4 * PRECISION
-    n_steps = int(math.ceil(height_bound / SCAN_STEP))
-    ts = np.minimum(np.arange(n_steps + 1) * SCAN_STEP, height_bound)
-    zs = hardy_z(ts)
+    grid = np.arange(math.ceil(height_bound / SCAN_STEP)) * SCAN_STEP
+    grid = grid[grid < height_bound]    # the ceil can round up past T
+    ts = np.append(grid, height_bound)
+    zs = np.append(hardy_z_grid(SCAN_STEP, grid.size), hardy_z(height_bound))
     z0, z1 = zs[:-1], zs[1:]
     bracket = (z0 != 0.0) & ((z0 * z1 < 0.0) | (z1 == 0.0))
     lo, hi = ts[:-1][bracket], ts[1:][bracket]

@@ -283,6 +283,8 @@ def test_cli_stage_timings_and_work(tmp_path, monkeypatch, capsys):
     assert list(report["timings"]) == ["find_zeros"]
     work = report["work"]
     assert work["scan_points"] == 1201
+    # the scan's partial sums are one (64 x 60) @ (60 x 19) product
+    assert (work["scan_blocks"], work["scan_terms"]) == (19, 60)
     # secant rounds close a 0.05 scan bracket below the 1e-9 precision,
     # probing each of the 13 brackets at two points per round
     assert work["refine_rounds"] <= 4

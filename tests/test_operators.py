@@ -175,6 +175,17 @@ def test_character_group_sizes():
         assert len(characters(d)) == n
 
 
+def test_characters_are_memoised():
+    first = characters(12)
+    again = characters(12)
+    assert isinstance(first, tuple)
+    assert again is first
+    assert all(a is b for a, b in zip(again, first))
+    assert [chi.values for chi in again] == [
+        chi.values for chi in characters.__wrapped__(12)]
+    assert character(12, 3) is first[3]
+
+
 def test_character_orthogonality():
     for d in (5, 7, 12):
         for chi in characters(d):

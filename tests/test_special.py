@@ -11,6 +11,7 @@ from weiltrace import (EULER_GAMMA, ImaginaryResidueError, PoleError,
                        primitive_characters,
                        hardy_z, hurwitz_zeta, l_chi, loggamma,
                        rs_theta, xi, zero_count_estimate, zeta, zeta_tail)
+from weiltrace.special import GRID_BLOCK, hardy_z_grid
 
 # Frozen 18-digit oracle values (independent multiprecision evaluation).
 ZETA_ORACLE = {
@@ -257,3 +258,30 @@ def test_hardy_z_imaginary_residue_is_noticed():
     # Negative control: no tolerance for the rounding-level imaginary part.
     with pytest.raises(ImaginaryResidueError):
         hardy_z(np.array([18.0, 30.0]), imag_tol=0.0)
+
+
+@pytest.mark.parametrize("count", [1, GRID_BLOCK - 1, GRID_BLOCK,
+                                   GRID_BLOCK + 1, 2400])
+def test_hardy_z_grid_matches_hardy_z(count):
+    # hardy_z is itself up to 1.03e-13 * max(1, |Z|) from mpmath (at
+    # t = 114), so the two may differ by the sum of their errors; the
+    # grid alone is held to 1e-13 against mpmath below.
+    want = hardy_z(np.arange(count) * 0.05)
+    got = hardy_z_grid(0.05, count)
+    assert got.shape == (count,)
+    assert np.all(np.abs(got - want) <= 2e-13 * np.maximum(1.0, np.abs(want)))
+
+
+def test_hardy_z_grid_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    got = hardy_z_grid(0.05, 2400)[::10]
+    want = np.array([float(mpmath.siegelz(t))
+                     for t in np.arange(2400)[::10] * 0.05])
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+def test_hardy_z_grid_height_cap():
+    assert hardy_z_grid(0.05, 2401)[-1] == pytest.approx(hardy_z(120.0),
+                                                         abs=1e-12)
+    with pytest.raises(PoleError):
+        hardy_z_grid(0.05, 2402)

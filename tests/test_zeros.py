@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+import weiltrace.special
 import weiltrace.zeros
-from weiltrace import (CountMismatchError, OrderViolationError,
-                       TableParseError, ZeroTable, find_zeros, load_zeros,
-                       save_zeros)
-from weiltrace.special import hardy_z
+from weiltrace import (CountMismatchError, ImaginaryResidueError,
+                       OrderViolationError, TableParseError, ZeroTable,
+                       find_zeros, load_zeros, save_zeros)
+from weiltrace.special import hardy_z, rs_theta
 from weiltrace.stages import WORK
 
 # First three ordinates from an independent multiprecision bisection
@@ -100,19 +101,29 @@ def test_find_zeros_secant_ordinates(mpmath_ordinates):
     assert _secant_faults(find_zeros(120.0), mpmath_ordinates) == []
 
 
-def test_find_zeros_secant_check_notices_shifted_z(monkeypatch,
+@pytest.fixture
+def substitute_z(monkeypatch):
+    """Install z(t) (on arrays) as find_zeros's Z, for the grid scan and
+    for the pointwise refinement alike."""
+    def install(z):
+        monkeypatch.setattr(weiltrace.zeros, "hardy_z", z)
+        monkeypatch.setattr(weiltrace.zeros, "hardy_z_grid",
+                            lambda step, count: z(np.arange(count) * step))
+    return install
+
+
+def test_find_zeros_secant_check_notices_shifted_z(substitute_z,
                                                    mpmath_ordinates):
     # Z + 1e-6 moves every root by about 1e-6 / |Z'|
-    monkeypatch.setattr(weiltrace.zeros, "hardy_z",
-                        lambda t: hardy_z(t) + 1e-6)
+    substitute_z(lambda t: hardy_z(t) + 1e-6)
     faults = _secant_faults(find_zeros(120.0), mpmath_ordinates)
     assert len(faults) >= 38
 
 
-def test_find_zeros_count_mismatch(monkeypatch):
+def test_find_zeros_count_mismatch(substitute_z):
     # |Z| has no sign change, so no zero is found where the counting
     # estimate expects three
-    monkeypatch.setattr(weiltrace.zeros, "hardy_z", lambda t: abs(hardy_z(t)))
+    substitute_z(lambda t: abs(hardy_z(t)))
     with pytest.raises(CountMismatchError):
         find_zeros(30.0)
 
@@ -123,13 +134,25 @@ def test_find_zeros_count_mismatch(monkeypatch):
     # the secant alone takes 133 rounds here
     (lambda t: (t - 14.1347) ** 9, 3 * 26),
 ], ids=["triple_root", "infinite_slope", "ninefold_root"])
-def test_find_zeros_secant_terminates(monkeypatch, z, max_rounds):
+def test_find_zeros_secant_terminates(substitute_z, z, max_rounds):
     # secant steps crawl towards a multiple root and overshoot on a cube
     # root; the midpoint fallback halves the bracket at least every third
     # round, so no bracket takes more than 3 x 26 rounds (26 halvings
     # take the 0.05 scan step below 1e-9)
-    monkeypatch.setattr(weiltrace.zeros, "hardy_z", z)
+    substitute_z(z)
     table = find_zeros(15.0)
     assert len(table.ordinates) == 1
     assert abs(table.ordinates[0] - 14.1347) <= 1e-9
     assert WORK["refine_rounds"] <= max_rounds
+
+
+def test_find_zeros_notices_a_rotated_theta(monkeypatch):
+    # Negative control: theta + 1e-3 leaves e^{i theta} zeta(1/2 + it)
+    # an imaginary part of about 1e-3 |Z|, which the grid scan rejects.
+    monkeypatch.setattr(weiltrace.special, "rs_theta",
+                        lambda t: rs_theta(t) + 1e-3)
+    with pytest.raises(ImaginaryResidueError):
+        weiltrace.special.hardy_z_grid(0.05, 2400)
+    with pytest.raises(ImaginaryResidueError):
+        find_zeros(120.0)
+
