@@ -50,10 +50,13 @@ CACHE_ENV = "WEILTRACE_CACHE"
 
 
 def _jsonable(v):
+    """v with every non-finite float, np.float64 and the parts of a
+    complex included, as its repr ("nan", "inf"), so reports are strict
+    JSON."""
     if isinstance(v, complex):
-        return {"re": v.real, "im": v.imag}
+        return {"re": _jsonable(v.real), "im": _jsonable(v.imag)}
     if isinstance(v, float) and not math.isfinite(v):
-        return repr(v)
+        return repr(float(v))
     if isinstance(v, dict):
         return {k: _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):

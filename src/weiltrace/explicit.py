@@ -148,8 +148,7 @@ def pv_regularised(f) -> float:
                 - 2.0 * f(1.0)) / tm
     u, h_out = np.linspace(0.0, 60.0, _PV_OUTER_POINTS, retstep=True)
     v, h_ext = np.linspace(-60.0, 60.0, _PV_OUTER_POINTS, retstep=True)
-    x = np.exp(v)
-    reflected = float(trapezoid(f(x) * x / (1.0 + x), h_ext))
+    reflected = float(trapezoid(f.of_log(v) / (1.0 + np.exp(-v)), h_ext))
     WORK["pv_points"] = [t.size, u.size, v.size]
     return _richardson(vals, h) + _richardson(f(1.0 + np.exp(u)), h_out) \
         + reflected

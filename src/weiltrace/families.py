@@ -13,6 +13,10 @@ Two families:
   sum_j c_j x^{k_j} exp(-a_j pi x^2), closed under the Fourier transform
   (see :mod:`weiltrace.transforms`).
 
+Every quadrature runs in u = ln x, where d*x = du, so a half-line
+member is evaluated there directly: ``f.of_log(u)`` is f(e^u), with no
+exp/log round trip, and ``f(x)`` is ``f.of_log(ln x)`` for x > 0.
+
 With u = ln x, x^s LG(a, mu, sigma) = LG(a e^{s mu + s^2 sigma^2 / 2},
 mu + s sigma^2, sigma), which gives J in closed form.
 """
@@ -34,11 +38,17 @@ class TestFunction:
         x_arr = np.asarray(x, dtype=float)
         if np.any(x_arr <= 0.0):
             raise DomainError("test functions live on x > 0")
-        out = self._eval(x_arr)
+        out = self.of_log(np.log(x_arr))
         return float(out) if out.ndim == 0 else out
 
-    def _eval(self, x: np.ndarray) -> np.ndarray:
+    def of_log(self, u) -> np.ndarray:
+        """f(e^u) for an array of u = ln x."""
         raise NotImplementedError
+
+    def _require_finite(self):
+        if not all(map(math.isfinite, vars(self).values())):
+            raise ValueError(f"{type(self).__name__} parameters must be "
+                             f"finite, got {self!r}")
 
     # Decay metadata used by truncated sums to certify tails.
     def support(self):
@@ -61,11 +71,12 @@ class LogGaussian(TestFunction):
     width: float = 1.0        # std dev of ln x
 
     def __post_init__(self):
-        if not self.width > 0:
-            raise ValueError("width must be positive")
+        self._require_finite()
+        # 2 sigma^2 divides every exponent: it must not underflow to 0.
+        if not (self.width > 0 and self.width ** 2 > 0):
+            raise ValueError("width must be positive, with width^2 > 0")
 
-    def _eval(self, x):
-        u = np.log(x)
+    def of_log(self, u):
         return self.amplitude * np.exp(
             -((u - self.center) ** 2) / (2.0 * self.width ** 2))
 
@@ -89,14 +100,15 @@ class LogBump(TestFunction):
     shape: float = 1.0
 
     def __post_init__(self):
+        self._require_finite()
         if not (0.0 < self.lo < self.hi):
             raise ValueError("need 0 < lo < hi")
         if not self.shape > 0:
             raise ValueError("shape must be positive")
 
-    def _eval(self, x):
+    def of_log(self, u):
         a_log, b_log = math.log(self.lo), math.log(self.hi)
-        u = np.log(x)
+        u = np.asarray(u, dtype=float)
         out = np.zeros_like(u)
         inside = (u > a_log) & (u < b_log)
         ui = u[inside]

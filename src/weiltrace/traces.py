@@ -37,8 +37,8 @@ class AuxiliaryPhi:
     width: float = 1.0
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise ValueError("width must be positive")
+        if not 0 < self.width < math.inf:
+            raise ValueError("width must be positive and finite")
 
     def __call__(self, t):
         return self.of_log(np.log(t))
@@ -77,8 +77,9 @@ class LogGridSpec:
     half_width: float = 8.0
 
     def __post_init__(self):
-        if self.n_points < 16 or self.half_width <= 0:
-            raise ValueError("bad grid spec")
+        if self.n_points < 16 or not 0 < self.half_width < math.inf:
+            raise ValueError("bad grid spec: need n_points >= 16 and "
+                             "0 < half_width < inf")
 
     def u_grid(self) -> tuple[np.ndarray, float]:
         """(grid, exact step), as QuadratureSpec.u_grid."""
@@ -96,8 +97,7 @@ class LogGridSpec:
 def _lag_values(f, u: np.ndarray, h: float) -> np.ndarray:
     """f evaluated on the lag grid e^{u_i - u_j} of the grid u with step
     h, as the vector over lags m = i - j in [-(n-1), n-1]."""
-    lags = np.arange(-(u.size - 1), u.size) * h
-    return np.asarray(f(np.exp(lags)), dtype=float)
+    return f.of_log(np.arange(-(u.size - 1), u.size) * h)
 
 
 def commutator_trace(f0, f1, phi: AuxiliaryPhi, grid: LogGridSpec) -> float:
@@ -110,18 +110,25 @@ def commutator_trace(f0, f1, phi: AuxiliaryPhi, grid: LogGridSpec) -> float:
             = sum_m (g[m] - g[-m]) a[m],
 
     with g[m] = v0[m] v1[-m] over the 2n-1 lags and a[m] =
-    sum_k w_{k+m} w_k phi_k.  The effective support of f0 and f1 must
-    fit inside the doubled window, else WindowError.
+    sum_k w_{k+m} w_k phi_k.  Each of f0 and f1 must have mass on the
+    doubled window and its effective support must fit inside it, else
+    WindowError.
     """
     u, h = grid.u_grid()
     v0 = _lag_values(f0, u, h)
     v1 = _lag_values(f1, u, h)
-    peak = max(np.max(np.abs(v0)), np.max(np.abs(v1)))
-    edge = max(abs(v0[0]), abs(v0[-1]), abs(v1[0]), abs(v1[-1]))
-    if edge > 1e-13 * peak:
-        raise WindowError(
-            f"kernel support leaves the window: edge/peak = "
-            f"{edge / peak:.3e}; enlarge half_width")
+    for name, v in (("f0", v0), ("f1", v1)):
+        peak = np.max(np.abs(v))
+        if peak == 0.0:
+            raise WindowError(
+                f"trace window [-{2 * grid.half_width:g}, "
+                f"{2 * grid.half_width:g}] holds no mass of {name}: every "
+                f"lag sample is 0")
+        edge = max(abs(v[0]), abs(v[-1]))
+        if edge > 1e-13 * peak:
+            raise WindowError(
+                f"kernel support of {name} leaves the window: edge/peak = "
+                f"{edge / peak:.3e}; enlarge half_width")
     g = v0 * v1[::-1]
     a = _lag_weights(grid.weights() * phi.of_log(u), h)
     return float(np.dot(g - g[::-1], a))
@@ -144,9 +151,7 @@ def trace_rhs(f0, f1, *, n_points: int = 30001,
     """tau(f0 * d f1) = integral f0(x) f1(1/x) ln(1/x) d*x by an
     independent quadrature (finer and wider than the kernel grid)."""
     u, h = LogGridSpec(n_points, half_width).u_grid()
-    vals = np.asarray(f0(np.exp(u)), dtype=float) \
-        * np.asarray(f1(np.exp(-u)), dtype=float) * (-u)
-    return float(trapezoid(vals, h))
+    return float(trapezoid(f0.of_log(u) * f1.of_log(-u) * (-u), h))
 
 
 def toeplitz_trace_check(f0, f1, phi: AuxiliaryPhi,
@@ -154,5 +159,7 @@ def toeplitz_trace_check(f0, f1, phi: AuxiliaryPhi,
     """Residual |tr(conv(f0) [M_phi, conv(f1)]) - tau(f0 * d f1)|."""
     grid = grid or LogGridSpec()
     WORK["trace_n"] = grid.n_points
-    with stage("trace"):
-        return abs(commutator_trace(f0, f1, phi, grid) - trace_rhs(f0, f1))
+    with stage("trace_kernel"):
+        lhs = commutator_trace(f0, f1, phi, grid)
+    with stage("trace_rhs"):
+        return abs(lhs - trace_rhs(f0, f1))

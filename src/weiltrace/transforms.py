@@ -110,7 +110,7 @@ def _window_samples(f, s: complex, q: QuadratureSpec):
     larger endpoint sample, edge, is not negligible against the peak, or
     when every sample is 0 (the mass, if any, lies outside the window)."""
     u, h = q.u_grid()
-    vals = np.asarray(f(np.exp(u)), dtype=complex) * np.exp(s * u)
+    vals = f.of_log(u) * np.exp(s * u)
     scale = float(np.max(np.abs(vals)))
     if scale == 0.0:
         raise WindowError(

@@ -4,10 +4,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from weiltrace import ExpressionError, LogBump, LogGaussian, parse_function
-from weiltrace.cli import _build_parser, main
+from weiltrace.cli import _build_parser, _jsonable, main
 from weiltrace.exprs import _BUILTINS, _CONSTRUCTORS
 
 
@@ -47,6 +48,10 @@ def test_parse_defaults_roundtrip():
     "loggauss(1,0,1,4)", "loggauss(q=3)", "unknown(1)", "nope",
     "loggauss(1,0,-1)", "loggauss(1,0,1) + 2", "__import__('os')",
     "loggauss(a=1, a=2)",
+    # non-finite parameters, and a width whose 2 sigma^2 underflows
+    "loggauss(1,0,1e-300)", "loggauss(1e309,0,1)", "loggauss(1,1e309,1)",
+    "logbump(1e309,0.5,2,1)", "logbump(1,0.5,1e309,1)",
+    "logbump(1,0.5,2,1e309)",
 ])
 def test_parse_rejects(bad):
     with pytest.raises(ExpressionError):
@@ -57,10 +62,15 @@ def test_parse_rejects(bad):
 # CLI
 # ---------------------------------------------------------------------------
 
+def _strict_constant(name):
+    raise ValueError(f"report is not strict JSON: bare {name}")
+
+
 def _run(tmp_path, *argv):
     out = tmp_path / "report.json"
     status = main([*argv, "--out", str(out)])
-    return status, json.loads(out.read_text())
+    return status, json.loads(out.read_text(),
+                              parse_constant=_strict_constant)
 
 
 def test_cli_zeta(tmp_path):
@@ -274,8 +284,8 @@ def test_cli_stage_timings_and_work(tmp_path, monkeypatch, capsys):
                           "--f0", "loggauss(1,0,0.7)",
                           "--f1", "loggauss(1,0.3,0.9)", "--n", "1024")
     assert status == 0
-    assert list(report["timings"]) == ["trace"]
-    assert report["timings"]["trace"] <= report["wall_time_s"]
+    assert list(report["timings"]) == ["trace_kernel", "trace_rhs"]
+    assert sum(report["timings"].values()) <= report["wall_time_s"]
     assert report["work"] == {"trace_n": 1024}
 
     status, report = _run(tmp_path, "zeros", "--max-height", "60")
@@ -377,6 +387,12 @@ _MISSING_FLAG = {
      "--f1", "loggauss(1,0.3,0.9)", "--window", "0"),
     ("check-trace-lemma", "--f0", "loggauss(1,0,0.7)",
      "--f1", "loggauss(1,0.3,0.9)", "--phi-width", "0"),
+    ("check-trace-lemma", "--f0", "loggauss(1,0,0.7)",
+     "--f1", "loggauss(1,0.3,0.9)", "--window", "nan"),
+    ("check-trace-lemma", "--f0", "loggauss(1,0,0.7)",
+     "--f1", "loggauss(1,0.3,0.9)", "--window", "inf"),
+    ("check-trace-lemma", "--f0", "loggauss(1,0,0.7)",
+     "--f1", "loggauss(1,0.3,0.9)", "--phi-width", "nan"),
     ("check-phi-identity", "--phi-width", "0"),
     ("check-poisson", "--f", "gauss2", "--x", "0"),
     ("check-poisson", "--f", "gauss2", "--x", "inf"),
@@ -417,6 +433,11 @@ def test_cli_error_outside_config_checks_gives_full_report(tmp_path):
     ("mellin", "--f", "loggauss(1,0,4)", "--s", "3"),
     ("check-trace-lemma", "--f0", "loggauss(1,0,0.7)",
      "--f1", "loggauss(1,0.3,0.9)", "--window", "2"),
+    # one function has no mass on the lag window: both sides would be 0
+    ("check-trace-lemma", "--f0", "loggauss(1,0,1)",
+     "--f1", "loggauss(1,700,1)"),
+    ("check-trace-lemma", "--f0", "logbump(1,1e10,1e11,1)",
+     "--f1", "loggauss(1,0,1)"),
 ])
 def test_cli_window_error_is_certification_failure(tmp_path, argv):
     status, report = _run(tmp_path, *argv)
@@ -465,3 +486,21 @@ def test_cli_rejects_function_on_real_line(tmp_path, monkeypatch, argv,
     assert status == 2
     assert report["outputs"]["error_type"] == "ConfigError"
     assert "(0, inf)" in report["outputs"]["error"]
+
+
+def test_report_values_are_strict_json(tmp_path):
+    # np.float64 is a float, whose repr was "np.float64(nan)", and the
+    # parts of a complex were written as bare NaN / Infinity
+    nan, inf = float("nan"), float("inf")
+    report = {"a": np.float64(nan), "b": complex(nan, 1.0),
+              "c": np.complex128(complex(1.0, -inf)), "d": [inf, 2.5]}
+    text = json.dumps(_jsonable(report))
+    assert json.loads(text, parse_constant=_strict_constant) == {
+        "a": "nan", "b": {"re": "nan", "im": 1.0},
+        "c": {"re": 1.0, "im": "-inf"}, "d": ["inf", 2.5]}
+    # a rejected non-finite input is echoed as a string
+    status, report = _run(tmp_path, "check-trace-lemma",
+                          "--f0", "loggauss(1,0,0.7)",
+                          "--f1", "loggauss(1,0.3,0.9)", "--window", "nan")
+    assert status == 2
+    assert report["inputs"]["window"] == "nan"

@@ -47,6 +47,73 @@ def test_logbump_validation():
         LogBump(1.0, 2.0, 0.5)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: LogGaussian(math.inf, 0.0, 1.0),
+    lambda: LogGaussian(1.0, math.nan, 1.0),
+    lambda: LogGaussian(1.0, 0.0, math.inf),
+    # 2 sigma^2 underflows to 0 and divides the exponent
+    lambda: LogGaussian(1.0, 0.0, 1e-300),
+    lambda: LogBump(math.nan, 0.5, 2.0),
+    lambda: LogBump(1.0, 0.5, math.inf),
+    lambda: LogBump(1.0, 0.5, 2.0, math.inf),
+])
+def test_non_finite_parameters_rejected(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+_OF_LOG_FUNCTIONS = [
+    LogGaussian(1.0, 0.0, 1.0), LogGaussian(2.0, -1.0, 0.5),
+    LogGaussian(1.0, 0.3, 0.15), LogGaussian(1.0, -0.2, 0.008),
+    LogBump(1.0, 0.5, 2.0), LogBump(3.0, 0.7, 1.5, 0.5),
+]
+
+
+def _of_log_exact(mpmath, f, u: float) -> float:
+    """f(e^u) at the double u, to 30 digits."""
+    with mpmath.workdps(30):
+        u = mpmath.mpf(u)
+        if isinstance(f, LogGaussian):
+            e = -(u - f.center) ** 2 / (2 * mpmath.mpf(f.width) ** 2)
+        else:
+            a, b = mpmath.log(f.lo), mpmath.log(f.hi)
+            if not a < u < b:
+                return 0.0
+            e = -f.shape / ((u - a) * (b - u))
+        return float(f.amplitude * mpmath.exp(e))
+
+
+def _of_log_grid(f):
+    """u in [-40, 40], with the peak and, for a bump, its support edges
+    and points just inside and outside them."""
+    extra = [f.center, f.center + f.width] if isinstance(f, LogGaussian) \
+        else [e + d for e in map(math.log, f.support())
+              for d in (-1e-3, -1e-12, 0.0, 1e-12, 1e-3)]
+    return np.sort(np.concatenate((np.linspace(-40.0, 40.0, 1601), extra)))
+
+
+@pytest.mark.parametrize("f", _OF_LOG_FUNCTIONS)
+def test_of_log_matches_exact_and_call(f):
+    mpmath = pytest.importorskip("mpmath")
+    u = _of_log_grid(f)
+    got = f.of_log(u)
+    exact = np.array([_of_log_exact(mpmath, f, t) for t in u])
+    peak = np.max(np.abs(exact))
+    assert np.max(np.abs(got - exact)) <= 1e-15 * peak
+    # outside a bump's support, edges included, the values are exact 0s
+    assert np.array_equal(got[exact == 0.0], exact[exact == 0.0])
+    # f(x) is of_log(ln x); through x = e^u it also sees ln(e^u) != u,
+    # which costs a sigma = 0.008 log-Gaussian about 7e-15 of its peak
+    call = f(np.exp(u))
+    slack = 1e-15 if f.loggauss_params() is None or f.width >= 0.15 \
+        else 1e-14
+    assert np.max(np.abs(call - got)) <= slack * peak
+    # a scalar u gives a scalar, the same value as the array path
+    mid = float(u[np.argmax(np.abs(exact))])
+    assert np.ndim(f.of_log(mid)) == 0
+    assert float(f.of_log(mid)) == f.of_log(np.array([mid]))[0]
+
+
 @given(t=positive, x=positive)
 @settings(max_examples=50, deadline=None)
 def test_scale_composition(t, x):

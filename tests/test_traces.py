@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weiltrace import (LogGaussian, LogGridSpec, build_phi, cinf_step,
-                       commutator_trace, phi_log_identity,
-                       toeplitz_trace_check, trace_rhs)
+from weiltrace import (LogBump, LogGaussian, LogGridSpec, WindowError,
+                       build_phi, cinf_step, commutator_trace,
+                       phi_log_identity, toeplitz_trace_check, trace_rhs)
 from weiltrace.traces import _lag_weights
 
 # criterion 8's first pair
@@ -108,3 +108,16 @@ def test_trace_rhs_oracle():
         f0(np.exp(u)) * f1(np.exp(-u)) * (-u), u)
     assert got == pytest.approx(float(expect), abs=1e-10)
 
+
+@pytest.mark.parametrize("f0, f1", [
+    # f1 has no mass on the lag window [-16, 16]: both sides read 0
+    (F0, LogGaussian(1.0, 700.0, 1.0)),
+    (LogBump(1.0, 1e10, 1e11), F1),
+    # f0's tail at the window edge is 14% of its own peak, although
+    # only 1e-21 of f1's
+    (LogGaussian(1e-20, 14.0, 1.0), F1),
+])
+def test_commutator_trace_checks_each_function_on_window(f0, f1):
+    grid = LogGridSpec(n_points=1024, half_width=8.0)
+    with pytest.raises(WindowError):
+        commutator_trace(f0, f1, build_phi(1.0), grid)
