@@ -65,15 +65,16 @@ def _jsonable(v):
 
 
 def _parse_complex(text: str) -> complex:
+    """'re' or 're,im' as a complex; ValueError for a non-finite part."""
     try:
-        parts = text.split(",")
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        parts = [float(p) for p in text.split(",")]
     except ValueError:
-        pass
-    raise ConfigError(f"cannot parse {text!r} as 're,im'")
+        parts = []
+    if len(parts) not in (1, 2):
+        raise ConfigError(f"cannot parse {text!r} as 're,im'")
+    if not all(map(math.isfinite, parts)):
+        raise ValueError(f"point {text!r} must be finite")
+    return complex(*parts)
 
 
 def _parse_trunc(text: str | None) -> TruncationSpec:
@@ -117,6 +118,15 @@ def _value(cfg: dict, key: str, default):
     reaches validation instead of turning into the default."""
     value = cfg.get(key)
     return default if value is None else value
+
+
+def _tolerance(cfg: dict, default: float) -> float:
+    """cfg's tol, or default; ValueError unless 0 < tol < inf (a NaN or
+    negative tol fails every check, an infinite one passes every one)."""
+    tol = float(_value(cfg, "tol", default))
+    if not 0 < tol < math.inf:
+        raise ValueError(f"--tol must be positive and finite, got {tol!r}")
+    return tol
 
 
 def _resolve_zeros(source: str, out_path: str | None):
@@ -168,7 +178,7 @@ def _check_command(cfg: dict) -> tuple[dict, bool]:
         tr = _parse_trunc(cfg.get("trunc"))
         f = parse_function(_required(cfg, "f"))
         xs = [float(t) for t in _value(cfg, "x", "0.25,0.5,1,2,4").split(",")]
-        tol = float(_value(cfg, "tol", 1e-10))
+        tol = _tolerance(cfg, 1e-10)
         residuals = {str(x): poisson_check(f, x, tr) for x in xs}
         worst = max(residuals.values())
         return {"residuals": residuals, "max_residual": worst,
@@ -176,7 +186,7 @@ def _check_command(cfg: dict) -> tuple[dict, bool]:
     if cmd == "check-zspectral":
         f = parse_function(_required(cfg, "f"))
         s = _parse_complex(_value(cfg, "s", "2,0"))
-        tol = float(_value(cfg, "tol", 1e-8))
+        tol = _tolerance(cfg, 1e-8)
         res = zspectral_check(f, s)
         return {"residual": res, "tolerance": tol}, res < tol
     if cmd == "check-twisted-poisson":
@@ -184,7 +194,7 @@ def _check_command(cfg: dict) -> tuple[dict, bool]:
         chi = _character(cfg)
         tr = _parse_trunc(cfg.get("trunc"))
         xs = [float(t) for t in _value(cfg, "x", "0.5,1,2").split(",")]
-        tol = float(_value(cfg, "tol", 1e-7))
+        tol = _tolerance(cfg, 1e-7)
         residuals, kappas = {}, {}
         for x in xs:
             res, kappa = twisted_poisson_check(chi, f, x, tr)
@@ -201,14 +211,14 @@ def _check_command(cfg: dict) -> tuple[dict, bool]:
         phi = build_phi(float(_value(cfg, "phi_width", 1.0)))
         grid = LogGridSpec(n_points=int(_value(cfg, "n", 2048)),
                            half_width=float(_value(cfg, "window", 8.0)))
-        tol = float(_value(cfg, "tol", 1e-6))
+        tol = _tolerance(cfg, 1e-6)
         res = toeplitz_trace_check(f0, f1, phi, grid)
         return {"residual": res, "tolerance": tol}, res < tol
     if cmd == "check-phi-identity":
         phi = build_phi(float(_value(cfg, "phi_width", 1.0)))
         xs = [float(t) for t in _value(cfg, "x", "0.5,1,2.718281828459045"
                                     ).split(",")]
-        tol = float(_value(cfg, "tol", 1e-10))
+        tol = _tolerance(cfg, 1e-10)
         residuals = {str(x): phi_log_identity(phi, x) for x in xs}
         worst = max(residuals.values())
         return {"residuals": residuals, "max_residual": worst,
@@ -232,12 +242,12 @@ def _zeros_command(cfg: dict) -> tuple[dict, bool]:
 
 def _verify_command(cfg: dict) -> tuple[dict, bool]:
     f = _parse_half_line_function(cfg, "f")
+    tol = _tolerance(cfg, 1e-4)
     table, table_path = _resolve_zeros(_required(cfg, "zeros"),
                                        cfg.get("out"))
     cuts = {"p_max": cfg.get("primes"), "e_max": cfg.get("e_max")}
     tr = TruncationSpec(**{k: int(v) for k, v in cuts.items()
                            if v is not None})
-    tol = float(cfg.get("tol") or 1e-4)
     report = verify_explicit_formula(f, table, tr, budget_check=False)
     out = report.as_dict()
     out["zero_table"] = table_path

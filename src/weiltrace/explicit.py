@@ -25,6 +25,7 @@ Their disagreement is monitored and fed into the error budget.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
@@ -33,11 +34,11 @@ import numpy as np
 
 from .errors import BudgetExceededError, DisagreementError
 from .families import TestFunction
-from .grids import trapezoid, trapezoid_with_coarse
+from .grids import QuadratureSpec, trapezoid, trapezoid_with_coarse
 from .operators import TruncationSpec, primes_up_to
 from .special import EULER_GAMMA, digamma
 from .stages import WORK, stage
-from .transforms import mellin, mellin_critical_line
+from .transforms import _critical_heights, mellin, mellin_critical_line
 from .zeros import ZeroTable
 
 # Grid sizes of the principal-value route (odd: each carries one
@@ -160,6 +161,23 @@ def archimedean_constant() -> float:
     return math.log(2.0 * math.pi) + EULER_GAMMA
 
 
+@functools.lru_cache(maxsize=None)
+def _archimedean_weight(n_points: int,
+                        ) -> tuple[np.ndarray, np.ndarray, float]:
+    """(r, w, integral of |w| dr) on the heights r of
+    ``mellin_critical_line`` for an n-point QuadratureSpec() grid, with
+    w(r) = ln pi - Re digamma(1/4 + i r/2).
+
+    w depends only on the grid, so it is built once per size; the
+    doubling ladder of ``mellin_critical_line`` has five sizes (4001 ..
+    64001), which bounds the cache.  r and w are read-only."""
+    _, h = QuadratureSpec(n_points=n_points).u_grid()
+    r = _critical_heights(n_points, h)
+    weight = math.log(math.pi) - digamma(0.25 + 0.5j * r).real
+    r.flags.writeable = weight.flags.writeable = False
+    return r, weight, float(trapezoid(np.abs(weight), r[1]))
+
+
 def W_infty(f) -> tuple[float, float, float]:
     """Archimedean term by Weil's digamma form, cross-checked against
     the principal-value route.
@@ -171,14 +189,14 @@ def W_infty(f) -> tuple[float, float, float]:
     bound integrated against |weight|.  Raises DisagreementError when
     the routes differ by more than _CROSS_CHECK_TOL (scaled by |value|).
     """
-    r, mf, trunc = mellin_critical_line(f)
-    weight = math.log(math.pi) - digamma(0.25 + 0.5j * r).real
+    _, mf, trunc = mellin_critical_line(f)
+    r, weight, weight_l1 = _archimedean_weight(mf.size)
     integrand = mf.real * weight
     fine, coarse = trapezoid_with_coarse(integrand, r[1])
     value = float(fine) / math.pi
     est = (abs(float(fine) - float(coarse))
            + abs(float(integrand[-1])) * float(r[-1])
-           + trunc * float(trapezoid(np.abs(weight), r[1]))) / math.pi
+           + trunc * weight_l1) / math.pi
     secondary = 0.5 * pv_regularised(f) + archimedean_constant() * f(1.0)
     disagreement = abs(value - secondary)
     if disagreement > _CROSS_CHECK_TOL * max(1.0, abs(value)):

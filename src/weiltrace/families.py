@@ -77,8 +77,11 @@ class LogGaussian(TestFunction):
             raise ValueError("width must be positive, with width^2 > 0")
 
     def of_log(self, u):
-        return self.amplitude * np.exp(
-            -((u - self.center) ** 2) / (2.0 * self.width ** 2))
+        # Below a width of about 1e-150 the exponent overflows to -inf,
+        # and exp(-inf) = 0 is exact.
+        with np.errstate(over="ignore"):
+            return self.amplitude * np.exp(
+                -((u - self.center) ** 2) / (2.0 * self.width ** 2))
 
     def loggauss_params(self):
         return (self.amplitude, self.center, self.width)

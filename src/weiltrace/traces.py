@@ -124,6 +124,12 @@ def commutator_trace(f0, f1, phi: AuxiliaryPhi, grid: LogGridSpec) -> float:
                 f"trace window [-{2 * grid.half_width:g}, "
                 f"{2 * grid.half_width:g}] holds no mass of {name}: every "
                 f"lag sample is 0")
+        # One nonzero lag sample makes g - g[::-1] vanish whatever the
+        # other function is, so the check could not fail.
+        if np.count_nonzero(v) < 2:
+            raise WindowError(
+                f"{name} is a point mass on the lag grid (step {h:.3g}): "
+                f"one lag sample is nonzero")
         edge = max(abs(v[0]), abs(v[-1]))
         if edge > 1e-13 * peak:
             raise WindowError(

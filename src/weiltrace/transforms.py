@@ -94,7 +94,7 @@ def mellin_critical_line(f: TestFunction,
         u, h, g, edge = _window_samples(f, 0.5, q)
         g[[0, -1]] *= 0.5
         m = 2 * (u.size - 1)
-        r = np.arange(u.size) * (2.0 * math.pi / (m * h))
+        r = _critical_heights(u.size, h)
         # ifft(g)[k] * m = sum_j g_j e^{2 pi i j k / m} (= e^{i r_k j h})
         sums = np.fft.ifft(g, n=m)[:u.size] * m
         values = h * np.exp(1j * r * u[0]) * sums
@@ -103,6 +103,12 @@ def mellin_critical_line(f: TestFunction,
             WORK["fft_length"] = m
             return r, values, float(10.0 * edge * h)
         q = QuadratureSpec(n_points=2 * q.n_points - 1)
+
+
+def _critical_heights(n_points: int, h: float) -> np.ndarray:
+    """r_k = 2 pi k / (m h), k = 0 .. n - 1, m = 2 (n - 1): the heights
+    of ``mellin_critical_line`` on an n-point grid of step h."""
+    return np.arange(n_points) * (2.0 * math.pi / (2 * (n_points - 1) * h))
 
 
 def _window_samples(f, s: complex, q: QuadratureSpec):

@@ -401,6 +401,18 @@ _MISSING_FLAG = {
      "--index", "2", "--x", "0"),
     ("lchi", "--modulus", "-3", "--index", "0", "--s", "2"),
     *_MISSING_FLAG,
+    # non-finite points, which used to pass with NaN values
+    ("zeta", "--s", "nan"),
+    ("zeta", "--s", "inf,0"),
+    ("mellin", "--f", "loggauss(1,0,1)", "--s", "nan"),
+    ("lchi", "--modulus", "3", "--index", "1", "--s", "nan"),
+    ("xi", "--s", "1,inf"),
+    # a NaN or negative tol fails every check, an infinite one none
+    ("check-poisson", "--f", "gauss2", "--tol", "nan"),
+    ("check-poisson", "--f", "gauss2", "--tol", "-1"),
+    ("check-zspectral", "--f", "loggauss(1,0,1)", "--tol", "inf"),
+    ("verify-explicit-formula", "--f", "loggauss(1,0,1)",
+     "--zeros", "auto:60", "--tol", "0"),
 ])
 def test_cli_out_of_range_value_is_config_error(tmp_path, argv):
     status, report = _run(tmp_path, *argv)
@@ -438,6 +450,9 @@ def test_cli_error_outside_config_checks_gives_full_report(tmp_path):
      "--f1", "loggauss(1,700,1)"),
     ("check-trace-lemma", "--f0", "logbump(1,1e10,1e11,1)",
      "--f1", "loggauss(1,0,1)"),
+    # f1 is one nonzero lag sample: both sides would be 0 for any f0
+    ("check-trace-lemma", "--f0", "loggauss(1,0,1)",
+     "--f1", "loggauss(1,0,1e-10)"),
 ])
 def test_cli_window_error_is_certification_failure(tmp_path, argv):
     status, report = _run(tmp_path, *argv)
@@ -472,6 +487,26 @@ def test_cli_mass_outside_mellin_window_warns_nothing(tmp_path, monkeypatch):
                           "--primes", "10000")
     assert status == 3
     assert report["outputs"]["error_type"] == "WindowError"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, reason", [
+    (("verify-explicit-formula", "--f", "loggauss(1,0.3,1e-160)",
+      "--zeros", "auto:60"), "holds no mass"),
+    (("mellin", "--f", "loggauss(1,0.3,1e-160)", "--s", "0.5,1"),
+     "holds no mass"),
+    (("check-trace-lemma", "--f0", "loggauss(1,0,1)",
+      "--f1", "loggauss(1,0.3,1e-160)"), "holds no mass"),
+    (("check-trace-lemma", "--f0", "loggauss(1,0,1)",
+      "--f1", "loggauss(1,0,1e-160)"), "point mass"),
+])
+def test_cli_tiny_width_warns_nothing(tmp_path, monkeypatch, argv, reason):
+    # (u - mu)^2 / 2 sigma^2 overflows for sigma below about 1e-150
+    monkeypatch.setenv("WEILTRACE_CACHE", str(tmp_path))
+    status, report = _run(tmp_path, *argv)
+    assert status == 3
+    assert report["outputs"]["error_type"] == "WindowError"
+    assert reason in report["outputs"]["error"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,6 +11,7 @@ from weiltrace import (BudgetExceededError, DisagreementError, LogGaussian,
 from weiltrace import explicit
 from weiltrace.grids import trapezoid
 from weiltrace.stages import WORK
+from weiltrace.transforms import mellin_critical_line
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -141,6 +142,45 @@ def test_W_infty_narrow_log_gaussians(mu, sigma):
     assert abs(value - want) < 1e-12 * max(1.0, abs(value))
     assert est < 1e-11
     assert disagreement < 1e-9
+
+
+@pytest.mark.parametrize("f, n_points", [(LogGaussian(1.0, 0.0, 1.0), 4001),
+                                         (LogGaussian(1.0, 0.0, 0.04), 8001)])
+def test_archimedean_weight_is_the_digamma_weight(f, n_points):
+    # the cached weight is the one W_infty used to build on every call,
+    # on the heights of the FFT grid it is paired with
+    r_fft, _, _ = mellin_critical_line(f)
+    r, weight, weight_l1 = explicit._archimedean_weight(n_points)
+    assert r.size == n_points and np.array_equal(r, r_fft)
+    assert np.array_equal(
+        weight, math.log(math.pi) - digamma(0.25 + 0.5j * r).real)
+    assert weight_l1 == float(trapezoid(np.abs(weight), r[1]))
+    with pytest.raises(ValueError):
+        weight[0] = 0.0
+
+
+def test_W_infty_builds_the_weight_once_per_grid_size(monkeypatch,
+                                                     cold_weight_cache):
+    sizes = []
+
+    def counted(z):
+        sizes.append(np.size(z))
+        return digamma(z)
+
+    monkeypatch.setattr(explicit, "digamma", counted)
+    W_infty(LogGaussian(1.0, 0.0, 1.0))
+    W_infty(LogGaussian(2.0, 0.5, 0.7))
+    assert sizes == [4001]
+
+
+def test_digamma_mutant_reaches_W_infty(monkeypatch, cold_weight_cache):
+    # (1/pi) integral_0^inf Re M f(1/2 + i r) dr = f(1), so digamma + c
+    # moves W_infty by -c f(1); a warm cache would hide the patch
+    f = LogGaussian(1.0, 0.0, 1.0)
+    monkeypatch.setattr(explicit, "digamma", lambda z: digamma(z) + 1e-6)
+    value, _, _ = W_infty(f)
+    assert value - _digamma_form_closed(f) == pytest.approx(-1e-6 * f(1.0),
+                                                           abs=1e-9)
 
 
 @pytest.mark.parametrize("sigma", [0.15, 1.0])
