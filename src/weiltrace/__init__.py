@@ -29,7 +29,7 @@ from .operators import (TruncationSpec, apply_L_chi, apply_Z,
 from .explicit import (W_infty, W_prime_total, archimedean_constant,
                        pv_regularised, spectral_parts,
                        verify_explicit_formula)
-from .traces import (LogGridSpec, build_phi, commutator_trace,
+from .traces import (AuxiliaryPhi, LogGridSpec, commutator_trace,
                      phi_log_identity, toeplitz_trace_check, trace_rhs)
 from .exprs import parse_function
 

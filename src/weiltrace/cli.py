@@ -33,7 +33,7 @@ from .explicit import verify_explicit_formula
 from .operators import (TruncationSpec, character, poisson_check,
                         twisted_poisson_check, zspectral_check)
 from .special import l_chi, xi, zeta
-from .traces import LogGridSpec, build_phi, phi_log_identity, \
+from .traces import AuxiliaryPhi, LogGridSpec, phi_log_identity, \
     toeplitz_trace_check
 from .transforms import mellin, mellin_parity
 from .families import ParityFunction
@@ -83,7 +83,7 @@ def _parse_trunc(text: str | None) -> TruncationSpec:
         for item in text.split(","):
             key, _, val = item.partition("=")
             key = key.strip()
-            if key not in ("n_max", "p_max", "e_max", "tail_tol"):
+            if key not in ("n_max", "tail_tol"):
                 raise ConfigError(f"unknown truncation field {key!r}")
             kwargs[key] = float(val) if key == "tail_tol" else int(val)
     return TruncationSpec(**kwargs)
@@ -208,14 +208,14 @@ def _check_command(cfg: dict) -> tuple[dict, bool]:
     if cmd == "check-trace-lemma":
         f0 = _parse_half_line_function(cfg, "f0")
         f1 = _parse_half_line_function(cfg, "f1")
-        phi = build_phi(float(_value(cfg, "phi_width", 1.0)))
+        phi = AuxiliaryPhi(float(_value(cfg, "phi_width", 1.0)))
         grid = LogGridSpec(n_points=int(_value(cfg, "n", 2048)),
                            half_width=float(_value(cfg, "window", 8.0)))
         tol = _tolerance(cfg, 1e-6)
         res = toeplitz_trace_check(f0, f1, phi, grid)
         return {"residual": res, "tolerance": tol}, res < tol
     if cmd == "check-phi-identity":
-        phi = build_phi(float(_value(cfg, "phi_width", 1.0)))
+        phi = AuxiliaryPhi(float(_value(cfg, "phi_width", 1.0)))
         xs = [float(t) for t in _value(cfg, "x", "0.5,1,2.718281828459045"
                                     ).split(",")]
         tol = _tolerance(cfg, 1e-10)
@@ -305,8 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s_flag = ("--s", {"help": "point as 're,im'"})
     f_flag = ("--f", {"help": "function expression"})
-    trunc_flag = ("--trunc", {"help": "n_max=..,p_max=..,e_max=..,"
-                              "tail_tol=.."})
+    trunc_flag = ("--trunc", {"help": "n_max=..,tail_tol=.."})
     add("mellin", f_flag, s_flag)
     add("zeta", s_flag)
     add("xi", s_flag)

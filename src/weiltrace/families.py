@@ -193,11 +193,11 @@ class ParityFunction:
                   for c, k, alpha in self.terms))
 
 
-def gaussian_even(coeff: float = 2.0, alpha: float = 1.0) -> ParityFunction:
-    """coeff * exp(-alpha pi x^2); gauss2 = gaussian_even() is F-invariant."""
-    return ParityFunction(+1, ((coeff, 0, alpha),))
+def gaussian_even() -> ParityFunction:
+    """2 exp(-pi x^2), the builtin gauss2; F-invariant."""
+    return ParityFunction(+1, ((2.0, 0, 1.0),))
 
 
-def gaussian_odd(coeff: float = 2.0, alpha: float = 1.0) -> ParityFunction:
-    """coeff * x exp(-alpha pi x^2); the odd special function at defaults."""
-    return ParityFunction(-1, ((coeff, 1, alpha),))
+def gaussian_odd() -> ParityFunction:
+    """2 x exp(-pi x^2), the builtin xgauss2; F maps it to i times itself."""
+    return ParityFunction(-1, ((2.0, 1, 1.0),))

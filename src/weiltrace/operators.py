@@ -14,6 +14,7 @@ Z^{-1} Z f cancels term by term up to that point.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -38,8 +39,9 @@ class TruncationSpec:
     def __post_init__(self):
         if self.n_max < 2 or self.p_max < 2 or self.e_max < 1:
             raise ValueError("truncation caps must be positive")
-        if self.tail_tol <= 0:
-            raise ValueError("tail_tol must be positive")
+        if not 0 < self.tail_tol < math.inf:
+            raise ValueError(f"tail_tol must be positive and finite, got "
+                             f"{self.tail_tol!r}")
 
 
 @lru_cache(maxsize=32)
@@ -189,51 +191,28 @@ class DirichletCharacter:
 def characters(d: int) -> tuple[DirichletCharacter, ...]:
     """All Dirichlet characters mod d, in a deterministic order.
 
-    The order enumerates exponent tuples against the unit-group
-    generators lexicographically, so index 0 is always principal.
+    Exponent tuples e against the unit-group generators g, in
+    lexicographic order, both name the unit prod g_i^{e_i} mod d, whose
+    discrete logs they are, and index the character
+    chi_e(prod g_i^{k_i}) = exp(2 pi i sum e_i k_i / ord(g_i)), so
+    index 0 is always principal.
     """
     if d < 1:
         raise ValueError("modulus must be a positive integer")
     gens = _unit_group_generators(d)
-    # Discrete logs of every unit against the generator list.
-    units = [n for n in range(d) if math.gcd(n, d) == 1]
-    logs = {1 % d: tuple(0 for _ in gens)}
-    # BFS over products of generators.
-    frontier = [1 % d]
-    while len(logs) < len(units):
-        nxt = []
-        for u in frontier:
-            base = logs[u]
-            for i, (g, order) in enumerate(gens):
-                v = (u * g) % d
-                if v not in logs:
-                    e = list(base)
-                    e[i] = (e[i] + 1) % order
-                    logs[v] = tuple(e)
-                    nxt.append(v)
-        frontier = nxt
     orders = [order for _, order in gens]
+    exponents = list(itertools.product(*map(range, orders)))
+    logs = {math.prod(pow(g, e, d) for (g, _), e in zip(gens, expo)) % d:
+            expo for expo in exponents}
     out = []
-    idx = 0
-    for expo in _exponent_tuples(orders):
+    for idx, expo in enumerate(exponents):
         vals = [0j] * d
-        for u in units:
-            ang = sum(expo[i] * logs[u][i] / orders[i]
-                      for i in range(len(gens)))
+        for u, log in logs.items():
+            ang = sum(e * k / order for e, k, order in zip(expo, log, orders))
             vals[u] = cmath.exp(2j * math.pi * ang)
         out.append(DirichletCharacter(modulus=d, values=tuple(vals),
                                       index=idx))
-        idx += 1
     return tuple(out)
-
-
-def _exponent_tuples(orders: list[int]):
-    if not orders:
-        yield ()
-        return
-    for head in range(orders[0]):
-        for rest in _exponent_tuples(orders[1:]):
-            yield (head,) + rest
 
 
 def primitive_characters(d: int) -> list[DirichletCharacter]:

@@ -226,17 +226,15 @@ def l_chi(chi, s: complex) -> complex:
     W = tau(chi) / (i^a sqrt(d)); neither Gamma has a pole there.
 
     chi is a DirichletCharacter (see operators module) and must be
-    primitive and non-trivial; then L is entire and the apparent pole at
-    s = 1 cancels, so s = 1 is evaluated by a small offset average.
+    primitive; then L is entire unless chi is trivial (d = 1, L = zeta).
+    At s = 1 the poles of the Hurwitz terms cancel, as sum chi(a) = 0,
+    and L(1, chi) = -(1/d) sum_{a=1}^{d} chi(a) psi(a/d) in closed form.
     """
     s = complex(s)
     d = chi.modulus
     if not chi.is_primitive:
         raise NonPrimitiveCharacterError(
             f"character mod {d} is not primitive")
-    if abs(s - 1.0) < 1e-12:
-        eps = 1e-5
-        return 0.5 * (l_chi(chi, s + eps) + l_chi(chi, s - eps))
     if s.real < 0.0:
         a = 0 if chi.parity == 1 else 1
         root = chi.gauss_sum() / (1j ** a * math.sqrt(d))
@@ -246,6 +244,10 @@ def l_chi(chi, s: complex) -> complex:
                 * l_chi(chi.conjugate(), 1.0 - s))
     values = np.array([chi.value(a) for a in range(1, d + 1)], dtype=complex)
     a = np.flatnonzero(values) + 1
+    if abs(s - 1.0) < 1e-12:
+        if d == 1:
+            raise PoleError("L(s, chi) mod 1 is zeta, with a pole at s = 1")
+        return -complex(np.sum(values[a - 1] * digamma(a / d))) / d
     total = np.sum(values[a - 1] * hurwitz_zeta(s, a / d))
     return d ** (-s) * complex(total)
 

@@ -49,21 +49,16 @@ class AuxiliaryPhi:
         return cinf_step((u / self.width + 1.0) * 0.5)
 
 
-def build_phi(width: float = 1.0) -> AuxiliaryPhi:
-    return AuxiliaryPhi(width=width)
-
-
-def phi_log_identity(phi: AuxiliaryPhi, x: float, *,
-                     n_points: int = 20001) -> float:
+def phi_log_identity(phi: AuxiliaryPhi, x: float) -> float:
     """Residual of integral (phi(z) - phi(x z)) d*z = ln(1/x).
 
     The integrand is supported where either switch is in transition,
-    so a log-grid window covering both transition zones suffices.
+    so a 20001-point log grid covering both transition zones suffices.
     """
     if x <= 0:
         raise ValueError("x must be positive")
     pad = 4.0 * phi.width + abs(math.log(x)) + 2.0
-    u, h = LogGridSpec(n_points, pad).u_grid()
+    u, h = LogGridSpec(20001, pad).u_grid()
     vals = phi.of_log(u) - phi.of_log(u + math.log(x))
     integral = float(trapezoid(vals, h))
     return abs(integral - math.log(1.0 / x))
@@ -152,18 +147,17 @@ def _lag_weights(v: np.ndarray, h: float) -> np.ndarray:
     return h * (sums - 0.5 * ends)
 
 
-def trace_rhs(f0, f1, *, n_points: int = 30001,
-              half_width: float = 18.0) -> float:
+def trace_rhs(f0, f1) -> float:
     """tau(f0 * d f1) = integral f0(x) f1(1/x) ln(1/x) d*x by an
-    independent quadrature (finer and wider than the kernel grid)."""
-    u, h = LogGridSpec(n_points, half_width).u_grid()
+    independent quadrature, 30001 points on |ln x| <= 18 (finer and
+    wider than the kernel grid)."""
+    u, h = LogGridSpec(30001, 18.0).u_grid()
     return float(trapezoid(f0.of_log(u) * f1.of_log(-u) * (-u), h))
 
 
 def toeplitz_trace_check(f0, f1, phi: AuxiliaryPhi,
-                         grid: LogGridSpec | None = None) -> float:
+                         grid: LogGridSpec) -> float:
     """Residual |tr(conv(f0) [M_phi, conv(f1)]) - tau(f0 * d f1)|."""
-    grid = grid or LogGridSpec()
     WORK["trace_n"] = grid.n_points
     with stage("trace_kernel"):
         lhs = commutator_trace(f0, f1, phi, grid)

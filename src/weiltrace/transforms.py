@@ -113,15 +113,18 @@ def _critical_heights(n_points: int, h: float) -> np.ndarray:
 
 def _window_samples(f, s: complex, q: QuadratureSpec):
     """(u, h, f(e^u) e^{s u}, edge) on q's grid; WindowError when the
-    larger endpoint sample, edge, is not negligible against the peak, or
-    when every sample is 0 (the mass, if any, lies outside the window)."""
+    larger endpoint sample, edge, is not negligible against the peak,
+    when every sample is 0 (the mass, if any, lies outside the window),
+    or when the peak, and so some sample, is not finite (e^{s u}
+    overflows for huge s)."""
     u, h = q.u_grid()
-    vals = f.of_log(u) * np.exp(s * u)
-    scale = float(np.max(np.abs(vals)))
-    if scale == 0.0:
-        raise WindowError(
-            f"Mellin window [{q.u_min}, {q.u_max}] holds no mass: every "
-            f"sample is 0")
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = f.of_log(u) * np.exp(s * u)
+        scale = float(np.max(np.abs(vals)))
+    if not 0.0 < scale < math.inf:
+        raise WindowError(f"Mellin window [{q.u_min}, {q.u_max}] " + (
+            "holds no mass: every sample is 0" if scale == 0.0
+            else f"has a non-finite sample at s = {s}"))
     edge = max(abs(vals[0]), abs(vals[-1]))
     if edge > 1e-13 * scale:
         raise WindowError(
@@ -130,15 +133,15 @@ def _window_samples(f, s: complex, q: QuadratureSpec):
     return u, h, vals, edge
 
 
-def mellin_parity(f: ParityFunction, s: complex,
-                  q: QuadratureSpec | None = None) -> MellinValue:
+def mellin_parity(f: ParityFunction, s: complex) -> MellinValue:
     """Restricted Mellin transform integral_0^inf f(x) x^s dx/x for a
     Gaussian-polynomial function.
 
     Convergence at x = 0 needs Re(s) + k_min > 0 where k_min is the
     lowest monomial degree present; otherwise DivergentIntegralError.
-    The small-x tail below the quadrature window is added analytically
-    from the power-series expansion of the Gaussian factors.
+    The small-x tail below the quadrature window (u = ln x in [-60, 6],
+    6001 points) is added analytically from the power-series expansion
+    of the Gaussian factors.
     """
     s = complex(s)
     k_min = min(deg for _, deg, _ in f.terms)
@@ -146,8 +149,7 @@ def mellin_parity(f: ParityFunction, s: complex,
         raise DivergentIntegralError(
             f"Mellin integral diverges at 0: Re(s) + k_min = "
             f"{s.real + k_min:.3f} <= 0 (need > 0, with margin)")
-    if q is None:
-        q = QuadratureSpec(u_min=-60.0, u_max=6.0, n_points=6001)
+    q = QuadratureSpec(u_min=-60.0, u_max=6.0, n_points=6001)
     u, h = q.u_grid()
     x = np.exp(u)
     vals = np.asarray(f(x), dtype=complex) * np.exp(s * u)
@@ -172,39 +174,29 @@ def mellin_parity(f: ParityFunction, s: complex,
     return MellinValue(s=s, value=value + tail, est_error=est + abs(tail) * 1e-12)
 
 
-def _integral_with_log_weight(g, x_max: float, *, v_min: float = -35.0,
-                              n_points: int = 4001):
-    """integral_R ln|x| g(x) dx for g decaying to negligible size by
-    |x| = x_max, as the (value, coarse value) pair of
-    trapezoid_with_coarse.
-
-    Folded to (0, inf) and substituted x = e^v; the integrand
-    v e^v (g(e^v) + g(-e^v)) vanishes at both ends, so plain trapezoid
-    is spectrally accurate and the x = 0 log singularity never appears
-    on the grid.
-    """
-    v, h = np.linspace(v_min, math.log(x_max), n_points, retstep=True)
+def _folded_log_grid(g, x_max: float, n_points: int = 4001):
+    """(v, x, h, g(x) + g(-x)) on x = e^v, v in [-35, ln x_max], n_points
+    points of step h: an integral over R folded to (0, inf), with x = 0
+    (where dx/|x| and ln|x| are singular) off the grid.  For g negligible
+    by |x| = x_max the integrands vanish at both ends, so plain
+    trapezoid is spectrally accurate."""
+    v, h = np.linspace(-35.0, math.log(x_max), n_points, retstep=True)
     x = np.exp(v)
-    vals = v * x * (np.asarray(g(x), dtype=complex)
-                    + np.asarray(g(-x), dtype=complex))
-    return trapezoid_with_coarse(vals, h)
+    return v, x, h, (np.asarray(g(x), dtype=complex)
+                     + np.asarray(g(-x), dtype=complex))
 
 
-def haar_real_cross(psi, *, x_max: float = 200.0, v_min: float = -35.0,
-                    n_points: int = 4001) -> float:
+def haar_real_cross(psi) -> float:
     """integral_{R^x} psi(x) d^x x with Haar measure normalised so that
     it restricts to dx/x on the positive half-line for even psi; i.e.
-    (1/2) integral_R psi(x) dx/|x|.  Requires psi(0) = 0 for convergence.
+    (1/2) integral_R psi(x) dx/|x|, over |x| <= 200.  Requires
+    psi(0) = 0 for convergence.
     """
-    v, h = np.linspace(v_min, math.log(x_max), n_points, retstep=True)
-    x = np.exp(v)
-    vals = 0.5 * (np.asarray(psi(x), dtype=complex)
-                  + np.asarray(psi(-x), dtype=complex)).real
-    return float(trapezoid(vals, h))
+    _, _, h, folded = _folded_log_grid(psi, 200.0)
+    return float(trapezoid(0.5 * folded.real, h))
 
 
-def pair_log_fourier(psi, *, x_max: float | None = None,
-                     n_points: int = 4001) -> tuple[float, float]:
+def pair_log_fourier(psi, *, n_points: int = 4001) -> tuple[float, float]:
     """Duality pairing <F(ln|x|), psi> = integral ln|x| (F psi)(x) dx.
 
     Returns (value, est_error), where est_error is the change of the
@@ -223,10 +215,9 @@ def pair_log_fourier(psi, *, x_max: float | None = None,
     if psi.parity == -1:
         # Pairing of an even distribution with an odd function.
         return 0.0, 0.0
-    fpsi = fourier(psi)
-    if x_max is None:
-        x_max = math.sqrt(48.0 * max(a for _, _, a in psi.terms) / math.pi) + 4.0
-    val, coarse = _integral_with_log_weight(fpsi, x_max, n_points=n_points)
+    x_max = math.sqrt(48.0 * max(a for _, _, a in psi.terms) / math.pi) + 4.0
+    v, x, h, folded = _folded_log_grid(fourier(psi), x_max, n_points)
+    val, coarse = trapezoid_with_coarse(v * x * folded, h)
     if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
         raise WindowError(f"pairing has imaginary residue {val.imag:.3e}")
     return float(val.real), abs(float(val.real) - float(coarse.real))

@@ -7,8 +7,8 @@ import time
 import numpy as np
 import pytest
 
-from weiltrace import (LogGaussian, ParityFunction, TruncationSpec, build_phi,
-                       find_zeros, fourier, gaussian_even, gaussian_odd,
+from weiltrace import (AuxiliaryPhi, LogGaussian, ParityFunction,
+                       TruncationSpec, find_zeros, fourier, gaussian_even, gaussian_odd,
                        haar_real_cross, l_chi, character, pair_log_fourier,
                        phi_log_identity, poisson_check, primitive_characters,
                        toeplitz_trace_check, twisted_poisson_check,
@@ -149,7 +149,7 @@ def test_criterion_07_explicit_formula(zeros60):
 
 def test_criterion_08_toeplitz_trace():
     start = time.perf_counter()
-    phi = build_phi(1.0)
+    phi = AuxiliaryPhi(1.0)
     pairs = ((LogGaussian(1.0, 0.0, 0.7), LogGaussian(1.0, 0.3, 0.9)),
              (LogGaussian(1.0, 0.1, 0.5), LogGaussian(1.0, 0.0, 1.2)),
              (LogGaussian(1.0, 0.0, 1.0), LogGaussian(1.0, -0.2, 0.008)))
@@ -172,10 +172,11 @@ def test_criterion_08_toeplitz_trace():
 
 def test_criterion_09_phi_identities():
     start = time.perf_counter()
-    worst_anti = max(abs(build_phi(w)(t) + build_phi(w)(1.0 / t) - 1.0)
+    worst_anti = max(abs(AuxiliaryPhi(w)(t) + AuxiliaryPhi(w)(1.0 / t)
+                         - 1.0)
                      for w in (0.5, 1.0, 2.0)
                      for t in (0.2, 0.7, 1.0, 3.1, 9.0))
-    worst_log = max(phi_log_identity(build_phi(w), x)
+    worst_log = max(phi_log_identity(AuxiliaryPhi(w), x)
                     for w in (0.5, 1.0, 2.0)
                     for x in (0.5, 1.0, math.e))
     elapsed = time.perf_counter() - start

@@ -374,6 +374,12 @@ _MISSING_FLAG = {
     ("mellin", "--f", "gauss2"): "--s",
 }
 
+# argv with a --trunc field no lattice sum reads -> the field it names
+# (the prime cut of verify-explicit-formula is --primes and --e-max)
+_UNKNOWN_FIELD = {
+    ("check-poisson", "--f", "gauss2", "--trunc", "p_max=5"): "'p_max'",
+}
+
 
 @pytest.mark.parametrize("argv", [
     ("zeros", "--max-height", "150"),
@@ -413,6 +419,10 @@ _MISSING_FLAG = {
     ("check-zspectral", "--f", "loggauss(1,0,1)", "--tol", "inf"),
     ("verify-explicit-formula", "--f", "loggauss(1,0,1)",
      "--zeros", "auto:60", "--tol", "0"),
+    # a NaN tail_tol certified nothing, an infinite one every tail
+    ("check-poisson", "--f", "gauss2", "--trunc", "tail_tol=nan"),
+    ("check-poisson", "--f", "gauss2", "--trunc", "tail_tol=inf"),
+    *_UNKNOWN_FIELD,
 ])
 def test_cli_out_of_range_value_is_config_error(tmp_path, argv):
     status, report = _run(tmp_path, *argv)
@@ -421,6 +431,9 @@ def test_cli_out_of_range_value_is_config_error(tmp_path, argv):
     if argv in _MISSING_FLAG:
         assert outputs["error_type"] == "ConfigError"
         assert f"requires {_MISSING_FLAG[argv]}" in outputs["error"]
+    elif argv in _UNKNOWN_FIELD:
+        assert outputs["error_type"] == "ConfigError"
+        assert _UNKNOWN_FIELD[argv] in outputs["error"]
     else:
         assert outputs["error_type"] == "ValueError"
 
@@ -453,11 +466,17 @@ def test_cli_error_outside_config_checks_gives_full_report(tmp_path):
     # f1 is one nonzero lag sample: both sides would be 0 for any f0
     ("check-trace-lemma", "--f0", "loggauss(1,0,1)",
      "--f1", "loggauss(1,0,1e-10)"),
+    # e^{s u} overflows: the samples were NaN, and mellin passed with a
+    # NaN value
+    ("mellin", "--f", "loggauss(1,0,1)", "--s", "1e300"),
+    ("check-zspectral", "--f", "loggauss(1,0,1)", "--s", "1e300"),
 ])
-def test_cli_window_error_is_certification_failure(tmp_path, argv):
+@pytest.mark.filterwarnings("error")
+def test_cli_window_error_is_certification_failure(tmp_path, capfd, argv):
     status, report = _run(tmp_path, *argv)
     assert status == 3
     assert report["outputs"]["error_type"] == "WindowError"
+    assert capfd.readouterr().err == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -175,6 +175,34 @@ def test_character_group_sizes():
         assert len(characters(d)) == n
 
 
+# The order of characters(d), which --index reads: row i is character i,
+# whose value at n is exp(2 pi i k / phi(d)) for the n-th digit k, and 0
+# at a '.' (gcd(n, d) > 1).  7 and 15 have cyclic and non-cyclic odd unit
+# groups, 8 and 12 the non-cyclic 2-parts.
+_CHARACTER_ORDER = {
+    7: (".000000", ".021453", ".042240", ".003033", ".024420", ".045213"),
+    8: (".0.0.0.0", ".0.2.2.0", ".0.0.2.2", ".0.2.0.2"),
+    12: (".0...0.0...0", ".0...2.0...2", ".0...0.2...2", ".0...2.2...0"),
+    15: (".00.0..00..0.00", ".02.4..26..0.64", ".04.0..44..0.40",
+         ".06.4..62..0.24", ".04.0..04..4.04", ".06.4..22..4.60",
+         ".00.0..40..4.44", ".02.4..66..4.20"),
+}
+
+
+@pytest.mark.parametrize("d", sorted(_CHARACTER_ORDER))
+def test_character_order_is_pinned(d):
+    rows = _CHARACTER_ORDER[d]
+    chis = characters(d)
+    assert [chi.index for chi in chis] == list(range(len(rows)))
+    phi = len(rows)
+    for chi, row in zip(chis, rows):
+        want = [0.0 if k == "." else cmath.exp(2j * math.pi * int(k) / phi)
+                for k in row]
+        # the values form e^{2 pi i a} with a up to 2, not reduced mod 1,
+        # so they sit up to 2.3e-15 from the reduced roots of unity
+        assert np.max(np.abs(np.array(chi.values) - want)) < 1e-14
+
+
 def test_characters_are_memoised():
     first = characters(12)
     again = characters(12)

@@ -129,7 +129,13 @@ def test_l_chi_catalan():
 def test_l_chi_mod3_at_one():
     chi = character(3, 1)
     assert l_chi(chi, 1.0) == pytest.approx(
-        math.pi / (3 * math.sqrt(3)), abs=1e-9)
+        math.pi / (3 * math.sqrt(3)), abs=1e-14)
+    # Leibniz: 1 - 1/3 + 1/5 - ... = pi/4
+    assert l_chi(character(4, 1), 1.0) == pytest.approx(math.pi / 4,
+                                                        abs=1e-14)
+    # mod 1, L is zeta: a pole, not the finite part the closed form gives
+    with pytest.raises(PoleError):
+        l_chi(character(1, 0), 1.0)
 
 
 def test_l_chi_alternating_oracle():

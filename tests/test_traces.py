@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weiltrace import (LogBump, LogGaussian, LogGridSpec, WindowError,
-                       build_phi, cinf_step, commutator_trace,
+from weiltrace import (AuxiliaryPhi, LogBump, LogGaussian, LogGridSpec,
+                       WindowError, cinf_step, commutator_trace,
                        phi_log_identity, toeplitz_trace_check, trace_rhs)
 from weiltrace.traces import _lag_weights
 
@@ -23,7 +23,7 @@ def test_cinf_step_partition():
 
 
 def test_phi_antisymmetry_machine():
-    phi = build_phi(1.0)
+    phi = AuxiliaryPhi(1.0)
     for t in (0.1, 0.5, 1.0, 3.0, 10.0):
         assert abs(phi(t) + phi(1.0 / t) - 1.0) <= 1e-15
 
@@ -31,13 +31,13 @@ def test_phi_antisymmetry_machine():
 @given(w=st.floats(0.3, 3.0), u=st.floats(-10, 10))
 @settings(max_examples=50, deadline=None)
 def test_phi_of_log_consistent(w, u):
-    phi = build_phi(w)
+    phi = AuxiliaryPhi(w)
     assert phi.of_log(u) == pytest.approx(phi(math.exp(u)), abs=1e-14)
 
 
 def test_phi_log_identity_width_independent():
     for w in (0.5, 1.0, 2.0):
-        phi = build_phi(w)
+        phi = AuxiliaryPhi(w)
         for x in (0.5, 1.0, math.e):
             assert phi_log_identity(phi, x) < 1e-10
 
@@ -47,7 +47,7 @@ def test_commutator_trace_matches_dense_kernel():
     # K(x_i, x_j) = sum_k w_k f0(x_i/x_k) f1(x_k/x_j) (phi_k - phi_j),
     # traced against the weights
     grid = LogGridSpec(n_points=256, half_width=8.0)
-    phi = build_phi(1.0)
+    phi = AuxiliaryPhi(1.0)
     x = np.exp(grid.u_grid()[0])
     w = grid.weights()
     p = phi(x)
@@ -64,7 +64,7 @@ def test_lag_weights_match_correlate(n):
     grid = LogGridSpec(n_points=n, half_width=8.0)
     u, h = grid.u_grid()
     w = grid.weights()
-    v = w * build_phi(1.0).of_log(u)
+    v = w * AuxiliaryPhi(1.0).of_log(u)
     want = np.correlate(w, v, "full")
     got = _lag_weights(v, h)
     assert got.shape == want.shape
@@ -73,7 +73,7 @@ def test_lag_weights_match_correlate(n):
 
 def test_commutator_trace_phi_width_independent():
     grid = LogGridSpec(n_points=2048, half_width=8.0)
-    traces = [commutator_trace(F0, F1, build_phi(w), grid)
+    traces = [commutator_trace(F0, F1, AuxiliaryPhi(w), grid)
               for w in (0.5, 1.0, 2.0)]
     assert max(traces) - min(traces) < 1e-13
 
@@ -83,14 +83,14 @@ def test_trace_check_notices_wrong_sign():
     # by about 2 |tau|, far above the 1e-6 tolerance
     grid = LogGridSpec(n_points=2048, half_width=8.0)
     tau = trace_rhs(F0, F1)
-    residual = abs(commutator_trace(F0, F1, build_phi(1.0), grid)
+    residual = abs(commutator_trace(F0, F1, AuxiliaryPhi(1.0), grid)
                    - trace_rhs(F1, F0))
     assert residual == pytest.approx(2.0 * abs(tau), rel=1e-9)
     assert residual > 1e5 * 1e-6
 
 
 def test_toeplitz_trace_smooth_pair():
-    phi = build_phi(1.0)
+    phi = AuxiliaryPhi(1.0)
     res = toeplitz_trace_check(F0, F1, phi,
                                LogGridSpec(n_points=1024, half_width=8.0))
     assert res < 1e-8
@@ -120,4 +120,4 @@ def test_trace_rhs_oracle():
 def test_commutator_trace_checks_each_function_on_window(f0, f1):
     grid = LogGridSpec(n_points=1024, half_width=8.0)
     with pytest.raises(WindowError):
-        commutator_trace(f0, f1, build_phi(1.0), grid)
+        commutator_trace(f0, f1, AuxiliaryPhi(1.0), grid)
