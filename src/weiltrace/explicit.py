@@ -6,8 +6,9 @@ where z runs over the poles (order +1 at 0 and 1) and critical-line
 zeros (order -1 each) of the completed zeta function, the local term
 W_p(f) = ln(p) sum_e [f(p^e) + p^{-e} f(p^{-e})] collects the powers of
 the prime p, and W_inf is the archimedean local term.  The prime side
-sums, in one call of f, only the prime powers where f can exceed 1e-20,
-and bounds the rest by Chebyshev's psi(x) < 1.03883 x.
+sums, in one call of f, the prime powers in f's visible interval (the
+ln x where |f| can exceed 1e-20, which also cuts the principal-value
+route below) and bounds the rest by Chebyshev's psi(x) < 1.03883 x.
 
 W_inf is computed by two genuinely different routes:
   * Weil's digamma form (primary),
@@ -19,7 +20,7 @@ W_inf is computed by two genuinely different routes:
     F(ln|x|) = -(1/2)|y|^{-1}_reg - (gamma + ln 2 pi) delta is written in
     closed form: the symmetric-cut principal value of
     integral f(x) (|1-x|^{-1} + (1+x)^{-1}) dx plus c_inf f(1), with
-    c_inf = ln(2 pi) + gamma (secondary).
+    c_inf = ln(2 pi) + gamma (secondary; near x = 0 it runs in ln x).
 Their disagreement is monitored and fed into the error budget.
 """
 
@@ -41,12 +42,15 @@ from .stages import WORK, stage
 from .transforms import _critical_heights, mellin, mellin_critical_line
 from .zeros import ZeroTable
 
-# Grid sizes of the principal-value route (odd: each carries one
-# Richardson step) and the largest relative disagreement of the routes.
-# The outer half-grid step 0.005 resolves log-Gaussians down to sigma ~
-# 0.012; on a coarser one the Richardson step amplifies aliasing error.
+# Principal-value grid sizes (odd, for one Richardson step), log step near
+# x = 0 (0.0025 leaves 2.5e-12 at sigma = 1) and |ln x| edge; the largest
+# relative route disagreement.  The outer half-grid step 0.005 resolves
+# sigma ~ 0.012; on a coarser one Richardson amplifies aliasing error.
 _PV_INNER_POINTS = 8193
 _PV_OUTER_POINTS = 24001
+_PV_LOG_STEP = 1.0 / 2048
+_PV_EDGE = 60.0
+_LN2 = math.log(2.0)
 _CROSS_CHECK_TOL = 1e-5
 # ln(1e308): W_prime_total's largest prime power.
 _LOG_MAX_POWER = 308.0 * math.log(10.0)
@@ -72,33 +76,42 @@ def _psi_tail(a: float, c: float, sig: float, k: int, log_x: float):
             * math.erfc((lx - c - w * s2) / (sig * math.sqrt(2.0))))
 
 
+def _visible(f) -> tuple[float, float]:
+    """The visible interval, the ln x where |f| can exceed _PRIME_EPS: mu
+    -+ sigma sqrt(2 ln(|a|/1e-20)) (log-Gaussian) or the support (bump)."""
+    params = f.loggauss_params() if hasattr(f, "loggauss_params") else None
+    if params is not None:
+        a, mu, sig = params
+        radius = sig * math.sqrt(2.0 * math.log(max(abs(a) / _PRIME_EPS, 1)))
+        return mu - radius, mu + radius
+    support = f.support() if hasattr(f, "support") else None
+    if support is None:
+        raise TypeError(f"no decay metadata to locate {f!r}")
+    return math.log(support[0]), math.log(support[1])
+
+
 def _prime_cut(f, tr: TruncationSpec) -> tuple[float, float]:
     """(L, bound): the prime side keeps the powers n with ln n <= L, and
     bound covers every power it leaves out.
 
-    Past L, a log-Gaussian has |f(n)|, |f(1/n)| < 1e-20 and a log-bump
-    vanishes at n and 1/n; L <= ln(1e308) keeps n finite.  Each omitted n
+    L, the larger |end| of _visible(f) and at most ln(1e308) so that n
+    is finite, leaves out n and 1/n where |f| < 1e-20.  Each omitted n
     exceeds X = min(e^L, p_max, 2^(e_max + 1)).  For h(x) = |f(x)| and
     |f(1/x)| / x, which rise to one peak and then fall, partial summation
     against psi(x) < 1.03883 x gives sum_{n > X} Lambda(n) h(n) <=
     1.03883 (X' h(X') + int_{X'}^inf h) with X' = max(X, peak of h); for
     a log-bump (peak at the middle of its support in ln x) it is at most
     sup|f| 1.03883 Y for each h whose support ends at Y > X."""
+    u_lo, u_hi = _visible(f)
+    log_cut = min(max(u_hi, -u_lo), _LOG_MAX_POWER)
+    log_x = min(log_cut, math.log(tr.p_max), (tr.e_max + 1) * math.log(2.0))
     params = f.loggauss_params() if hasattr(f, "loggauss_params") else None
-    support = f.support() if hasattr(f, "support") else None
-    log_cap = min(math.log(tr.p_max), (tr.e_max + 1) * math.log(2.0))
     if params is not None:
         a, mu, sig = params
-        radius = sig * math.sqrt(2.0 * math.log(max(abs(a) / _PRIME_EPS, 1)))
-        log_cut = min(abs(mu) + radius, _LOG_MAX_POWER)
-        log_x = min(log_cut, log_cap)
         return log_cut, (_psi_tail(a, mu, sig, 0, log_x)
                          + _psi_tail(a, -mu, sig, 1, log_x))
-    if support is None:
-        raise TypeError(f"no decay metadata to cut the prime sum of {f!r}")
-    lo, hi = support
-    log_cut = max(math.log(hi), -math.log(lo))
-    ends = [y for y in (hi, 1.0 / lo) if math.log(y) > min(log_cut, log_cap)]
+    lo, hi = f.support()
+    ends = [y for y in (hi, 1.0 / lo) if math.log(y) > log_x]
     return log_cut, _PSI_SLOPE * abs(f(math.sqrt(lo * hi))) * sum(ends)
 
 
@@ -131,28 +144,43 @@ def _richardson(vals: np.ndarray, h: float) -> float:
     return float(fine) + (float(fine) - float(coarse)) / 3.0
 
 
+def _odd_count(width: float, step: float) -> int:
+    """The fewest points, odd and at least 3, that span width."""
+    return 2 * max(1, math.ceil(width / (2.0 * step))) + 1
+
+
 def pv_regularised(f) -> float:
     """The symmetric-cut principal value
         lim_{eps -> 0} [ integral_{|1-x| > eps} f~(x) / |1-x| dx
                          + 2 f(1) ln(eps) ],
     where f~ is the even extension of f; computed in the subtracted
-    form (no explicit eps) as an inner integral over |1-x| <= 1 and an
-    outer one over x = 1 + e^u, u >= 0, each with one Richardson step,
-    plus the even extension's part over x <= 0, which is exactly
-    integral_0^inf f(x) / (1 + x) dx, taken in v = ln x so that mass near
-    x = 0 is resolved (the integrand vanishes at both ends of v)."""
+    form (no explicit eps), uniform in t = |1 - x| over x in [1/2, 2],
+    in v = ln x over x in (0, 1/2] (f(e^v) / (e^-v - 1), so that mass
+    near x = 0 is resolved; less 2 f(1) ln 2 from the subtraction), over
+    x = 1 + e^u, u >= 0, and, for the even extension's part over x <= 0,
+    in v as f(e^v) / (1 + e^-v); all but the last with one Richardson
+    step.  The last three end where _visible(f), clamped to |ln x| <= 60,
+    ends: every sample left out is below 1e-20."""
+    lo, hi = np.clip(_visible(f), -_PV_EDGE, _PV_EDGE)
     t, h = np.linspace(0.0, 1.0, _PV_INNER_POINTS, retstep=True)
-    vals = np.empty_like(t)
-    vals[0] = 0.0
-    tm = t[1:]
-    vals[1:] = (f(np.maximum(1.0 - tm, 1e-300)) + f(1.0 + tm)
-                - 2.0 * f(1.0)) / tm
-    u, h_out = np.linspace(0.0, 60.0, _PV_OUTER_POINTS, retstep=True)
-    v, h_ext = np.linspace(-60.0, 60.0, _PV_OUTER_POINTS, retstep=True)
-    reflected = float(trapezoid(f.of_log(v) / (1.0 + np.exp(-v)), h_ext))
-    WORK["pv_points"] = [t.size, u.size, v.size]
-    return _richardson(vals, h) + _richardson(f(1.0 + np.exp(u)), h_out) \
-        + reflected
+    mid = _PV_INNER_POINTS // 2                         # t[mid] = 1/2
+    right = f(1.0 + t)
+    near = np.zeros(mid + 1)
+    near[1:] = (f(1.0 - t[1:mid + 1]) + right[1:mid + 1]
+                - 2.0 * f(1.0)) / t[1:mid + 1]
+    v = -_LN2 - _PV_LOG_STEP * np.arange(_odd_count(-_LN2 - lo, _PV_LOG_STEP))
+    h_out = _PV_EDGE / (_PV_OUTER_POINTS - 1)
+    u = h_out * np.arange(min(_PV_OUTER_POINTS, _odd_count(
+        math.log(math.expm1(max(hi, _LN2))), h_out)))
+    h_ext = 2.0 * h_out
+    w = h_ext * np.arange(math.floor((lo + _PV_EDGE) / h_ext),
+                          math.ceil((hi + _PV_EDGE) / h_ext) + 1) - _PV_EDGE
+    WORK["pv_points"] = [t.size, v.size, u.size, w.size]
+    return (_richardson(near, h) + _richardson(right[mid:] / t[mid:], h)
+            + _richardson(f.of_log(v) / np.expm1(-v), _PV_LOG_STEP)
+            - 2.0 * _LN2 * f(1.0)
+            + _richardson(f(1.0 + np.exp(u)), h_out)
+            + float(trapezoid(f.of_log(w) / (1.0 + np.exp(-w)), h_ext)))
 
 
 def archimedean_constant() -> float:

@@ -176,10 +176,18 @@ class DirichletCharacter:
         return True
 
     def conjugate(self) -> "DirichletCharacter":
+        """The character with exponent tuple (-e_i mod ord_i)."""
+        index = -1
+        if self.index >= 0:
+            index, stride, rest = 0, 1, self.index
+            for _, order in reversed(_unit_group_generators(self.modulus)):
+                rest, e = divmod(rest, order)      # e_i, last digit first
+                index += (-e % order) * stride
+                stride *= order
         return DirichletCharacter(
             modulus=self.modulus,
             values=tuple(v.conjugate() for v in self.values),
-            index=-1 if self.index < 0 else self.index)
+            index=index)
 
     def gauss_sum(self) -> complex:
         d = self.modulus

@@ -183,12 +183,58 @@ def test_digamma_mutant_reaches_W_infty(monkeypatch, cold_weight_cache):
                                                            abs=1e-9)
 
 
-@pytest.mark.parametrize("sigma", [0.15, 1.0])
+@pytest.mark.parametrize("sigma", [0.12, 0.15, 1.0])
 @pytest.mark.parametrize("mu", [-7.0, -5.0, -3.0, 0.0, 3.0, 7.0])
 def test_W_infty_routes_agree_off_centre(mu, sigma):
-    # the principal-value route resolves mass near x = 0 and far out
+    # the principal-value route resolves mass near x = 0 (in log
+    # coordinates) and far out
     _, _, disagreement = W_infty(LogGaussian(1.0, mu, sigma))
-    assert disagreement < 1e-6
+    assert disagreement < 1e-10
+
+
+@pytest.mark.parametrize("f", [LogGaussian(1.0, 0.0, 1.0),
+                               LogGaussian(1.0, 0.3, 0.15)])
+def test_pv_route_needs_the_whole_visible_window(monkeypatch, f):
+    # negative control: a window of radius 2 sigma leaves out mass the
+    # cross-check must miss
+    _, mu, sig = f.loggauss_params()
+    monkeypatch.setattr(explicit, "_visible",
+                        lambda g: (mu - 2.0 * sig, mu + 2.0 * sig))
+    with pytest.raises(DisagreementError):
+        W_infty(f)
+
+
+@pytest.mark.parametrize("f, most", [(LogGaussian(1.0, 0.339, 0.1811), 12000),
+                                     (LogGaussian(1.0, -0.5, 1.0), 36000)])
+def test_pv_regularised_samples_only_the_visible_window(f, most):
+    # the full grids hold 8,193 + 24,001 + 24,001 points
+    pv_regularised(f)
+    assert sum(WORK["pv_points"]) <= most
+
+
+def test_pv_regularised_far_off_window():
+    # the window is clamped to |ln x| <= 60, so expm1 cannot overflow
+    assert np.isfinite(pv_regularised(LogGaussian(1.0, 800.0, 1.0)))
+
+
+@pytest.mark.parametrize("expr, value, bound, powers", [
+    ("loggauss(1,-0.5,1)", "0x1.2ef4379b49c76p+1", "0x1.655a7dc238966p-54",
+     1297),
+    ("loggauss(1,0,1)", "0x1.babbd52f1cdefp+1", "0x1.3e4b8c4c71014p-48",
+     1287),
+    ("loggauss(1,0.3,0.15)", "0x1.6e10a070d8c3dp-6",
+     "0x1.1bc2c46969ed1p-64", 4),
+    ("loggauss(2,-1,0.02)", "0x1.0282465a67619p-18",
+     "0x1.8943229b1219bp-67", 2),
+    ("loggauss(1,-7,0.15)", "0x1.818f78e92cb15p-2",
+     "0x1.8e8744ad21d30p-67", 665),
+    ("logbump(1,0.5,2,1)", "0x0.0p+0", "0x0.0p+0", 1)])
+def test_W_prime_total_cut_is_pinned(expr, value, bound, powers):
+    # frozen values: taking the cut L from _visible moves no bit of the
+    # prime side, its tail bound or the number of prime powers
+    got, tail = W_prime_total(parse_function(expr))
+    assert (got.hex(), tail.hex()) == (value, bound)
+    assert WORK["prime_powers"] == powers
 
 
 def test_W_infty_cross_check_can_fail(monkeypatch):

@@ -233,6 +233,21 @@ def test_character_multiplicativity():
                 chi.value(a) * chi.value(b), abs=1e-13)
 
 
+def test_conjugate_names_the_conjugate_character():
+    # the conjugate's index is that of the exponent tuple (-e_i mod ord_i);
+    # its values are the conjugated ones, so they sit within the tables'
+    # angle rounding (up to 5.6e-14 for d <= 60) of that row
+    assert character(5, 1).conjugate().index == 3
+    for d in range(1, 61):
+        chis = characters(d)
+        for chi in chis:
+            conj = chi.conjugate()
+            assert conj.values == tuple(v.conjugate() for v in chi.values)
+            assert np.max(np.abs(np.array(chis[conj.index].values)
+                                 - conj.values)) < 1e-13
+            assert conj.conjugate().index == chi.index
+
+
 def test_gauss_sum_modulus():
     for d in (3, 4, 5, 7):
         for chi in primitive_characters(d):
