@@ -20,7 +20,8 @@ W_inf is computed by two genuinely different routes:
     F(ln|x|) = -(1/2)|y|^{-1}_reg - (gamma + ln 2 pi) delta is written in
     closed form: the symmetric-cut principal value of
     integral f(x) (|1-x|^{-1} + (1+x)^{-1}) dx plus c_inf f(1), with
-    c_inf = ln(2 pi) + gamma (secondary; near x = 0 it runs in ln x).
+    c_inf = ln(2 pi) + gamma (secondary; folded by x -> 1/x onto one
+    integral over ln x >= 0).
 Their disagreement is monitored and fed into the error budget.
 """
 
@@ -42,15 +43,11 @@ from .stages import WORK, stage
 from .transforms import _critical_heights, mellin, mellin_critical_line
 from .zeros import ZeroTable
 
-# Principal-value grid sizes (odd, for one Richardson step), log step near
-# x = 0 (0.0025 leaves 2.5e-12 at sigma = 1) and |ln x| edge; the largest
-# relative route disagreement.  The outer half-grid step 0.005 resolves
-# sigma ~ 0.012; on a coarser one Richardson amplifies aliasing error.
-_PV_INNER_POINTS = 8193
-_PV_OUTER_POINTS = 24001
-_PV_LOG_STEP = 1.0 / 2048
+# Principal-value step in u = ln x and |ln x| edge; the largest relative
+# route disagreement.  A step of 1/1024 with two Richardson steps leaves
+# 8e-10 at LogGaussian(1, 0, 0.012).
+_PV_STEP = 1.0 / 2048
 _PV_EDGE = 60.0
-_LN2 = math.log(2.0)
 _CROSS_CHECK_TOL = 1e-5
 # ln(1e308): W_prime_total's largest prime power.
 _LOG_MAX_POWER = 308.0 * math.log(10.0)
@@ -137,50 +134,34 @@ def W_prime_total(f, tr: TruncationSpec | None = None,
     return float(np.sum(lp[idx] * (f(n) + f(1.0 / n) / n))), tail
 
 
-def _richardson(vals: np.ndarray, h: float) -> float:
-    """Trapezoid with one Richardson step: its O(h^2) endpoint error,
-    which an integrand not decaying at the ends leaves, becomes O(h^4)."""
-    fine, coarse = trapezoid_with_coarse(vals, h)
-    return float(fine) + (float(fine) - float(coarse)) / 3.0
-
-
-def _odd_count(width: float, step: float) -> int:
-    """The fewest points, odd and at least 3, that span width."""
-    return 2 * max(1, math.ceil(width / (2.0 * step))) + 1
-
-
 def pv_regularised(f) -> float:
     """The symmetric-cut principal value
         lim_{eps -> 0} [ integral_{|1-x| > eps} f~(x) / |1-x| dx
                          + 2 f(1) ln(eps) ],
-    where f~ is the even extension of f; computed in the subtracted
-    form (no explicit eps), uniform in t = |1 - x| over x in [1/2, 2],
-    in v = ln x over x in (0, 1/2] (f(e^v) / (e^-v - 1), so that mass
-    near x = 0 is resolved; less 2 f(1) ln 2 from the subtraction), over
-    x = 1 + e^u, u >= 0, and, for the even extension's part over x <= 0,
-    in v as f(e^v) / (1 + e^-v); all but the last with one Richardson
-    step.  The last three end where _visible(f), clamped to |ln x| <= 60,
-    ends: every sample left out is below 1e-20."""
+    where f~ is the even extension of f.  Its part over x < 0 is
+    integral_0^inf f(x) / (1 + x) dx; folding x -> 1/x onto x >= 1 and
+    setting u = ln x gives
+        integral_0^U 2 (G(u) - G(0) e^{-2u}) / (1 - e^{-2u}) du
+        + G(0) ln((1 - e^{-2U}) / 2),
+    G(u) = f(e^u) + e^{-u} f(e^{-u}), the last term being the subtracted
+    part over u > U in closed form.  The integrand is 3 G(0) / 2 at
+    u = 0, since G'(0) = -G(0) / 2.  U, the larger |end| of _visible(f)
+    clamped to 60 and rounded up to the grid, leaves out only samples
+    below 1e-20.  The trapezoid on the 1-, 2-, 4- and 8-spaced subgrids
+    of u = k / 2048 with three Richardson steps removes the h^2, h^4 and
+    h^6 terms at u = 0."""
     lo, hi = np.clip(_visible(f), -_PV_EDGE, _PV_EDGE)
-    t, h = np.linspace(0.0, 1.0, _PV_INNER_POINTS, retstep=True)
-    mid = _PV_INNER_POINTS // 2                         # t[mid] = 1/2
-    right = f(1.0 + t)
-    near = np.zeros(mid + 1)
-    near[1:] = (f(1.0 - t[1:mid + 1]) + right[1:mid + 1]
-                - 2.0 * f(1.0)) / t[1:mid + 1]
-    v = -_LN2 - _PV_LOG_STEP * np.arange(_odd_count(-_LN2 - lo, _PV_LOG_STEP))
-    h_out = _PV_EDGE / (_PV_OUTER_POINTS - 1)
-    u = h_out * np.arange(min(_PV_OUTER_POINTS, _odd_count(
-        math.log(math.expm1(max(hi, _LN2))), h_out)))
-    h_ext = 2.0 * h_out
-    w = h_ext * np.arange(math.floor((lo + _PV_EDGE) / h_ext),
-                          math.ceil((hi + _PV_EDGE) / h_ext) + 1) - _PV_EDGE
-    WORK["pv_points"] = [t.size, v.size, u.size, w.size]
-    return (_richardson(near, h) + _richardson(right[mid:] / t[mid:], h)
-            + _richardson(f.of_log(v) / np.expm1(-v), _PV_LOG_STEP)
-            - 2.0 * _LN2 * f(1.0)
-            + _richardson(f(1.0 + np.exp(u)), h_out)
-            + float(trapezoid(f.of_log(w) / (1.0 + np.exp(-w)), h_ext)))
+    u = _PV_STEP * np.arange(
+        8 * max(1, math.ceil(max(hi, -lo) / (8 * _PV_STEP))) + 1)
+    WORK["pv_points"] = u.size
+    decay = np.exp(-u)
+    g = f.of_log(u) + decay * f.of_log(-u)
+    vals = np.full(u.size, 1.5 * g[0])
+    vals[1:] = 2.0 * (g[1:] - g[0] * decay[1:] ** 2) / -np.expm1(-2.0 * u[1:])
+    t = [float(trapezoid(vals[::k], k * _PV_STEP)) for k in (1, 2, 4, 8)]
+    for k in (4, 16, 64):
+        t = [(k * fine - coarse) / (k - 1) for fine, coarse in zip(t, t[1:])]
+    return t[0] + float(g[0]) * math.log(-0.5 * math.expm1(-2.0 * u[-1]))
 
 
 def archimedean_constant() -> float:

@@ -49,6 +49,9 @@ _BERNOULLI_EVEN = (
 )
 
 EULER_GAMMA = 0.5772156649015328606
+# Largest imaginary part of e^{i theta} zeta(1/2 + it), relative to
+# max(1, |Z|), that Z(t) accepts as rounding.
+_Z_IMAG_TOL = 1e-9
 
 
 def _is_nonpositive_integer(s, tol: float = 1e-12):
@@ -272,26 +275,26 @@ def zero_count_estimate(t):
     return rs_theta(t) / math.pi + 1.0
 
 
-def _z_from_zeta(t, zeta_half, imag_tol: float = 1e-9):
+def _z_from_zeta(t, zeta_half):
     """Z(t) = e^{i theta(t)} zeta(1/2 + it) from zeta_half, the zeta
     values at 1/2 + it: the real part, once every imaginary part is
-    within imag_tol * max(1, |Z|), else ImaginaryResidueError."""
+    within _Z_IMAG_TOL * max(1, |Z|), else ImaginaryResidueError."""
     val = np.exp(1j * rs_theta(t)) * zeta_half
-    bad = np.abs(val.imag) > imag_tol * np.maximum(1.0, np.abs(val.real))
+    bad = np.abs(val.imag) > _Z_IMAG_TOL * np.maximum(1.0, np.abs(val.real))
     if np.any(bad):
         raise ImaginaryResidueError(
             f"Z({t[bad][0]}) has imaginary residue {val.imag[bad][0]:.3e}")
     return val.real
 
 
-def hardy_z(t, *, imag_tol: float = 1e-9):
+def hardy_z(t):
     """Hardy Z(t) = e^{i theta(t)} zeta(1/2 + it); real by construction.
     One zeta call for the whole array t; a scalar t gives a float."""
     scalar = np.ndim(t) == 0
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(np.abs(t) > 120.0):
         raise PoleError("hardy_z implemented for |t| <= 120")
-    z = _z_from_zeta(t, zeta(0.5 + 1j * t), imag_tol)
+    z = _z_from_zeta(t, zeta(0.5 + 1j * t))
     return float(z[0]) if scalar else z
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weiltrace.special
 from weiltrace import (EULER_GAMMA, ImaginaryResidueError, PoleError,
                        NonPrimitiveCharacterError, character, digamma, gamma,
                        primitive_characters,
@@ -260,10 +261,13 @@ def test_array_poles_and_ranges_raise():
         hurwitz_zeta(2.0, np.array([0.5, 0.0]))
 
 
-def test_hardy_z_imaginary_residue_is_noticed():
-    # Negative control: no tolerance for the rounding-level imaginary part.
+def test_hardy_z_imaginary_residue_is_noticed(monkeypatch):
+    # Negative control: theta + 1e-3 leaves e^{i theta} zeta(1/2 + it)
+    # an imaginary part of about 1e-3 |Z|, far above rounding.
+    monkeypatch.setattr(weiltrace.special, "rs_theta",
+                        lambda t: rs_theta(t) + 1e-3)
     with pytest.raises(ImaginaryResidueError):
-        hardy_z(np.array([18.0, 30.0]), imag_tol=0.0)
+        hardy_z(np.array([18.0, 30.0]))
 
 
 @pytest.mark.parametrize("count", [1, GRID_BLOCK - 1, GRID_BLOCK,
