@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import BudgetExceededError, DisagreementError
-from .families import TestFunction
+from .families import TestFunction, visible_interval
 from .grids import QuadratureSpec, trapezoid, trapezoid_with_coarse
 from .operators import TruncationSpec, primes_up_to
 from .special import EULER_GAMMA, digamma
@@ -73,33 +73,20 @@ def _psi_tail(a: float, c: float, sig: float, k: int, log_x: float):
             * math.erfc((lx - c - w * s2) / (sig * math.sqrt(2.0))))
 
 
-def _visible(f) -> tuple[float, float]:
-    """The visible interval, the ln x where |f| can exceed _PRIME_EPS: mu
-    -+ sigma sqrt(2 ln(|a|/1e-20)) (log-Gaussian) or the support (bump)."""
-    params = f.loggauss_params() if hasattr(f, "loggauss_params") else None
-    if params is not None:
-        a, mu, sig = params
-        radius = sig * math.sqrt(2.0 * math.log(max(abs(a) / _PRIME_EPS, 1)))
-        return mu - radius, mu + radius
-    support = f.support() if hasattr(f, "support") else None
-    if support is None:
-        raise TypeError(f"no decay metadata to locate {f!r}")
-    return math.log(support[0]), math.log(support[1])
-
-
 def _prime_cut(f, tr: TruncationSpec) -> tuple[float, float]:
     """(L, bound): the prime side keeps the powers n with ln n <= L, and
     bound covers every power it leaves out.
 
-    L, the larger |end| of _visible(f) and at most ln(1e308) so that n
-    is finite, leaves out n and 1/n where |f| < 1e-20.  Each omitted n
+    L, the larger |end| of f's visible interval (families.visible_interval)
+    and at most ln(1e308) so that n is finite, leaves out n and 1/n where
+    |f| < 1e-20.  Each omitted n
     exceeds X = min(e^L, p_max, 2^(e_max + 1)).  For h(x) = |f(x)| and
     |f(1/x)| / x, which rise to one peak and then fall, partial summation
     against psi(x) < 1.03883 x gives sum_{n > X} Lambda(n) h(n) <=
     1.03883 (X' h(X') + int_{X'}^inf h) with X' = max(X, peak of h); for
     a log-bump (peak at the middle of its support in ln x) it is at most
     sup|f| 1.03883 Y for each h whose support ends at Y > X."""
-    u_lo, u_hi = _visible(f)
+    u_lo, u_hi = visible_interval(f, _PRIME_EPS)
     log_cut = min(max(u_hi, -u_lo), _LOG_MAX_POWER)
     log_x = min(log_cut, math.log(tr.p_max), (tr.e_max + 1) * math.log(2.0))
     params = f.loggauss_params() if hasattr(f, "loggauss_params") else None
@@ -145,12 +132,12 @@ def pv_regularised(f) -> float:
         + G(0) ln((1 - e^{-2U}) / 2),
     G(u) = f(e^u) + e^{-u} f(e^{-u}), the last term being the subtracted
     part over u > U in closed form.  The integrand is 3 G(0) / 2 at
-    u = 0, since G'(0) = -G(0) / 2.  U, the larger |end| of _visible(f)
-    clamped to 60 and rounded up to the grid, leaves out only samples
-    below 1e-20.  The trapezoid on the 1-, 2-, 4- and 8-spaced subgrids
+    u = 0, since G'(0) = -G(0) / 2.  U, the larger |end| of f's visible
+    interval clamped to 60 and rounded up to the grid, leaves out only
+    samples below 1e-20.  The trapezoid on the 1-, 2-, 4- and 8-spaced subgrids
     of u = k / 2048 with three Richardson steps removes the h^2, h^4 and
     h^6 terms at u = 0."""
-    lo, hi = np.clip(_visible(f), -_PV_EDGE, _PV_EDGE)
+    lo, hi = np.clip(visible_interval(f, _PRIME_EPS), -_PV_EDGE, _PV_EDGE)
     u = _PV_STEP * np.arange(
         8 * max(1, math.ceil(max(hi, -lo) / (8 * _PV_STEP))) + 1)
     WORK["pv_points"] = u.size

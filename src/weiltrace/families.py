@@ -124,6 +124,23 @@ class LogBump(TestFunction):
         return (self.lo, self.hi)
 
 
+def visible_interval(f, eps: float, *, relative: bool = False,
+                     ) -> tuple[float, float]:
+    """The ln x where |f| can reach eps (eps times |amplitude| if
+    relative): mu -+ sigma sqrt(2 ln(|a| / eps)) for a log-Gaussian, the
+    log of the support for a log-bump."""
+    params = f.loggauss_params() if hasattr(f, "loggauss_params") else None
+    if params is not None:
+        a, mu, sig = params
+        ratio = 1.0 / eps if relative else abs(a) / eps
+        radius = sig * math.sqrt(2.0 * math.log(max(ratio, 1)))
+        return mu - radius, mu + radius
+    support = f.support() if hasattr(f, "support") else None
+    if support is None:
+        raise TypeError(f"no decay metadata to locate {f!r}")
+    return math.log(support[0]), math.log(support[1])
+
+
 def scale(f: TestFunction, t: float) -> TestFunction:
     """lambda_t f: x -> f(x / t), exact on both half-line families."""
     if not t > 0:

@@ -9,6 +9,8 @@ Two identities are checked numerically on a logarithmic grid:
     (d f)(x) = f(x) ln x, * is multiplicative convolution, and
     tau(g) = g(1); the left side is discretised on a log grid and its
     weighted diagonal is summed over lags, so no kernel matrix is formed;
+    the right side is a trapezoid sampled only where both f0(x) and
+    f1(1/x) reach 1e-20 of their peaks;
 
   * the switch identity  integral (phi(z) - phi(x z)) d*z = ln(1/x),
     which is what makes the trace independent of the particular phi.
@@ -22,8 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WindowError
+from .families import visible_interval
 from .grids import cinf_step, trapezoid
 from .stages import WORK, stage
+
+# trace_rhs: its u = ln x grid, step 0.0012 anchored at u = -18; the
+# |u| its sampled interval may not leave (the principal value's edge);
+# the fraction of each function's peak below which it is left out.
+_RHS_STEP, _RHS_ORIGIN = 36.0 / 30000, -18.0
+_RHS_EDGE = 60.0
+_RHS_EPS = 1e-20
 
 
 @dataclass(frozen=True)
@@ -55,8 +65,8 @@ def phi_log_identity(phi: AuxiliaryPhi, x: float) -> float:
     The integrand is supported where either switch is in transition,
     so a 20001-point log grid covering both transition zones suffices.
     """
-    if x <= 0:
-        raise ValueError("x must be positive")
+    if not 0 < x < math.inf:
+        raise ValueError(f"x must be positive and finite, got {x!r}")
     pad = 4.0 * phi.width + abs(math.log(x)) + 2.0
     u, h = LogGridSpec(20001, pad).u_grid()
     vals = phi.of_log(u) - phi.of_log(u + math.log(x))
@@ -106,8 +116,9 @@ def commutator_trace(f0, f1, phi: AuxiliaryPhi, grid: LogGridSpec) -> float:
 
     with g[m] = v0[m] v1[-m] over the 2n-1 lags and a[m] =
     sum_k w_{k+m} w_k phi_k.  Each of f0 and f1 must have mass on the
-    doubled window and its effective support must fit inside it, else
-    WindowError.
+    doubled window and its effective support must fit inside it, phi
+    must be 0 and 1 at the window's ends and the sum must not overflow,
+    else WindowError.
     """
     u, h = grid.u_grid()
     v0 = _lag_values(f0, u, h)
@@ -130,9 +141,17 @@ def commutator_trace(f0, f1, phi: AuxiliaryPhi, grid: LogGridSpec) -> float:
             raise WindowError(
                 f"kernel support of {name} leaves the window: edge/peak = "
                 f"{edge / peak:.3e}; enlarge half_width")
-    g = v0 * v1[::-1]
-    a = _lag_weights(grid.weights() * phi.of_log(u), h)
-    return float(np.dot(g - g[::-1], a))
+    switch = phi.of_log(u)
+    if switch[0] != 0.0 or switch[-1] != 1.0:
+        raise WindowError(
+            f"phi is {switch[0]:.3g} and {switch[-1]:.3g} at the window's "
+            f"ends, not 0 and 1: its transition is wider than the window "
+            f"[-{grid.half_width:g}, {grid.half_width:g}]")
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = v0 * v1[::-1]
+        trace = float(np.dot(g - g[::-1], _lag_weights(
+            grid.weights() * switch, h)))
+    return _finite(trace, "the commutator trace")
 
 
 def _lag_weights(v: np.ndarray, h: float) -> np.ndarray:
@@ -147,12 +166,38 @@ def _lag_weights(v: np.ndarray, h: float) -> np.ndarray:
     return h * (sums - 0.5 * ends)
 
 
+def _finite(value: float, name: str) -> float:
+    if not math.isfinite(value):
+        raise WindowError(f"{name} overflows: {value!r}")
+    return value
+
+
 def trace_rhs(f0, f1) -> float:
     """tau(f0 * d f1) = integral f0(x) f1(1/x) ln(1/x) d*x by an
-    independent quadrature, 30001 points on |ln x| <= 18 (finer and
-    wider than the kernel grid)."""
-    u, h = LogGridSpec(30001, 18.0).u_grid()
-    return float(trapezoid(f0.of_log(u) * f1.of_log(-u) * (-u), h))
+    independent trapezoid in u = ln x with step 0.0012 (finer than the
+    kernel grid) on the grid points u = -18 + 0.0012 k.  It samples only
+    the intersection of f0's visible interval (where |f0| reaches 1e-20
+    of its peak) with the reflection u -> -u of f1's, widened to the
+    grid: 0.0 when that is empty, WindowError when it leaves
+    |u| <= 60 or the integral overflows."""
+    lo0, hi0 = visible_interval(f0, _RHS_EPS, relative=True)
+    lo1, hi1 = visible_interval(f1, _RHS_EPS, relative=True)
+    lo, hi = max(lo0, -hi1), min(hi0, -lo1)
+    if lo > hi:
+        WORK["trace_rhs_points"] = 0
+        return 0.0
+    if max(hi, -lo) > _RHS_EDGE:
+        raise WindowError(
+            f"f0(x) f1(1/x) is visible on ln x in [{lo:.6g}, {hi:.6g}], "
+            f"which leaves |ln x| <= {_RHS_EDGE:g}")
+    k = np.arange(math.floor((lo - _RHS_ORIGIN) / _RHS_STEP),
+                  math.ceil((hi - _RHS_ORIGIN) / _RHS_STEP) + 1)
+    u = _RHS_ORIGIN + k * _RHS_STEP
+    WORK["trace_rhs_points"] = u.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(trapezoid(f0.of_log(u) * f1.of_log(-u) * (-u),
+                                _RHS_STEP))
+    return _finite(value, "tau(f0 * d f1)")
 
 
 def toeplitz_trace_check(f0, f1, phi: AuxiliaryPhi,

@@ -286,7 +286,7 @@ def test_cli_stage_timings_and_work(tmp_path, monkeypatch, capsys):
     assert status == 0
     assert list(report["timings"]) == ["trace_kernel", "trace_rhs"]
     assert sum(report["timings"].values()) <= report["wall_time_s"]
-    assert report["work"] == {"trace_n": 1024}
+    assert report["work"] == {"trace_n": 1024, "trace_rhs_points": 11199}
 
     status, report = _run(tmp_path, "zeros", "--max-height", "60")
     assert status == 0
@@ -438,6 +438,15 @@ def test_cli_out_of_range_value_is_config_error(tmp_path, argv):
         assert outputs["error_type"] == "ValueError"
 
 
+@pytest.mark.parametrize("x", ["nan", "inf"])
+def test_cli_phi_identity_names_a_non_finite_x(tmp_path, x):
+    # the message was the grid's "bad grid spec"
+    status, report = _run(tmp_path, "check-phi-identity", "--x", x)
+    assert status == 2
+    assert (report["outputs"]["error"]
+            == f"x must be positive and finite, got {x}")
+
+
 def test_cli_error_outside_config_checks_gives_full_report(tmp_path):
     # An unordered zero table raises OrderViolationError, which is
     # neither a ConfigError nor a certification failure: exit 2, and the
@@ -470,6 +479,15 @@ def test_cli_error_outside_config_checks_gives_full_report(tmp_path):
     # NaN value
     ("mellin", "--f", "loggauss(1,0,1)", "--s", "1e300"),
     ("check-zspectral", "--f", "loggauss(1,0,1)", "--s", "1e300"),
+    # the products overflow: the residual was NaN, with five warnings
+    ("check-trace-lemma", "--f0", "loggauss(1e200,0,1)",
+     "--f1", "loggauss(1e200,0.3,0.9)"),
+    # phi's transition is wider than the window
+    ("check-trace-lemma", "--f0", "loggauss(1,0,0.7)",
+     "--f1", "loggauss(1,0.3,0.9)", "--window", "8", "--phi-width", "12"),
+    # f0(x) f1(1/x) is visible past |ln x| = 60
+    ("check-trace-lemma", "--f0", "loggauss(1,55,1)",
+     "--f1", "loggauss(1,-55,1)", "--window", "70", "--n", "16384"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_cli_window_error_is_certification_failure(tmp_path, capfd, argv):

@@ -217,8 +217,8 @@ def test_pv_route_needs_the_whole_visible_window(monkeypatch, f):
     # negative control: a window of radius 2 sigma leaves out mass the
     # cross-check must miss
     _, mu, sig = f.loggauss_params()
-    monkeypatch.setattr(explicit, "_visible",
-                        lambda g: (mu - 2.0 * sig, mu + 2.0 * sig))
+    monkeypatch.setattr(explicit, "visible_interval",
+                        lambda g, eps: (mu - 2.0 * sig, mu + 2.0 * sig))
     with pytest.raises(DisagreementError):
         W_infty(f)
 
@@ -249,8 +249,8 @@ def test_pv_regularised_far_off_window():
      "0x1.8e8744ad21d30p-67", 665),
     ("logbump(1,0.5,2,1)", "0x0.0p+0", "0x0.0p+0", 1)])
 def test_W_prime_total_cut_is_pinned(expr, value, bound, powers):
-    # frozen values: taking the cut L from _visible moves no bit of the
-    # prime side, its tail bound or the number of prime powers
+    # frozen values: taking the cut L from the visible interval moves no
+    # bit of the prime side, its tail bound or the number of prime powers
     got, tail = W_prime_total(parse_function(expr))
     assert (got.hex(), tail.hex()) == (value, bound)
     assert WORK["prime_powers"] == powers

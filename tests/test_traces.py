@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from weiltrace import (AuxiliaryPhi, LogBump, LogGaussian, LogGridSpec,
                        WindowError, cinf_step, commutator_trace,
                        phi_log_identity, toeplitz_trace_check, trace_rhs)
+from weiltrace.stages import WORK
 from weiltrace.traces import _lag_weights
 
 # criterion 8's first pair
@@ -107,6 +108,70 @@ def test_trace_rhs_oracle():
     expect = np.trapezoid(
         f0(np.exp(u)) * f1(np.exp(-u)) * (-u), u)
     assert got == pytest.approx(float(expect), abs=1e-10)
+
+
+def _gaussian_moment(f0, f1):
+    # u = ln x: a0 a1 exp(-(u - m0)^2 / 2 v0 - (u + m1)^2 / 2 v1) (-u) is
+    # a Gaussian of centre c and width w times -u, so the integral is -c
+    # times its mass
+    (a0, m0, s0), (a1, m1, s1) = f0.loggauss_params(), f1.loggauss_params()
+    v0, v1 = s0 * s0, s1 * s1
+    c = (m0 * v1 - m1 * v0) / (v0 + v1)
+    w = math.sqrt(v0 * v1 / (v0 + v1))
+    return -c * a0 * a1 * math.sqrt(2.0 * math.pi) * w * math.exp(
+        -(m0 + m1) ** 2 / (2.0 * (v0 + v1)))
+
+
+@pytest.mark.parametrize("f0, f1", [
+    # the slice is relative to each peak: an absolute 1e-20 would leave
+    # the first f0 out and cut the second f1 short
+    (LogGaussian(1e-20, 0.1, 0.7), LogGaussian(1e20, 0.3, 0.9)),
+    (LogGaussian(1e20, -0.2, 1.1), LogGaussian(1e-20, 0.0, 0.6)),
+    # f0(x) f1(1/x) lies past |ln x| = 18
+    (LogGaussian(1.0, 17.0, 1.0), LogGaussian(1.0, -17.0, 1.0)),
+    (LogGaussian(1.0, -30.0, 1.0), LogGaussian(1.0, 30.0, 1.0)),
+    # criterion 8's narrow pair
+    (LogGaussian(1.0, 0.0, 1.0), LogGaussian(1.0, -0.2, 0.008)),
+])
+def test_trace_rhs_gaussian_moment(f0, f1):
+    tau = _gaussian_moment(f0, f1)
+    assert abs(trace_rhs(f0, f1) - tau) <= 1e-12 * max(1.0, abs(tau))
+
+
+def test_trace_rhs_disjoint_supports():
+    # f1(1/x) lives on 1/3 < x < 1/2, f0 on 2 < x < 3: nothing is sampled
+    f = LogBump(1.0, 2.0, 3.0)
+    assert trace_rhs(f, f) == 0.0
+    assert WORK["trace_rhs_points"] == 0
+
+
+@pytest.mark.parametrize("f0, f1", [
+    # visible on 45.4 <= ln x <= 64.6, past the |ln x| <= 60 edge
+    (LogGaussian(1.0, 55.0, 1.0), LogGaussian(1.0, -55.0, 1.0)),
+    # 1e200 * 1e200 overflows
+    (LogGaussian(1e200, 0.0, 1.0), LogGaussian(1e200, 0.3, 0.9)),
+])
+@pytest.mark.filterwarnings("error")
+def test_trace_rhs_window_error(f0, f1):
+    with pytest.raises(WindowError):
+        trace_rhs(f0, f1)
+
+
+def test_toeplitz_trace_far_from_x_1():
+    # the parent's |ln x| <= 18 grid cut tau in half: residual 2.55
+    f0, f1 = LogGaussian(1.0, 17.0, 1.0), LogGaussian(1.0, -17.0, 1.0)
+    grid = LogGridSpec(n_points=16384, half_width=40.0)
+    assert toeplitz_trace_check(f0, f1, AuxiliaryPhi(1.0), grid) < 1e-10
+
+
+@pytest.mark.parametrize("width, half_width", [(12.0, 8.0), (2.0, 1.5)])
+def test_commutator_trace_rejects_phi_wider_than_window(width, half_width):
+    # phi is not 0 and 1 at the window's ends
+    grid = LogGridSpec(n_points=1024, half_width=half_width)
+    with pytest.raises(WindowError, match="phi"):
+        commutator_trace(LogGaussian(1.0, 0.0, 0.2),
+                         LogGaussian(1.0, 0.1, 0.2), AuxiliaryPhi(width),
+                         grid)
 
 
 @pytest.mark.parametrize("f0, f1", [
