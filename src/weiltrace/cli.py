@@ -212,7 +212,8 @@ def _check_command(cfg: dict) -> tuple[dict, bool]:
         grid = LogGridSpec(n_points=int(_value(cfg, "n", 2048)),
                            half_width=float(_value(cfg, "window", 8.0)))
         tol = _tolerance(cfg, 1e-6)
-        res = toeplitz_trace_check(f0, f1, phi, grid)
+        res, scale = toeplitz_trace_check(f0, f1, phi, grid)
+        tol *= scale
         return {"residual": res, "tolerance": tol}, res < tol
     if cmd == "check-phi-identity":
         phi = AuxiliaryPhi(float(_value(cfg, "phi_width", 1.0)))
@@ -399,7 +400,7 @@ def main(argv=None) -> int:
         status = EXIT_CONFIG
     else:
         status, report = run(cfg)
-    text = json.dumps(report, indent=2)
+    text = json.dumps(report)
     out = getattr(args, "out", None)
     verbose = getattr(args, "verbose", 0)
     if out:

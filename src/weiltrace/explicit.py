@@ -14,14 +14,16 @@ W_inf is computed by two genuinely different routes:
   * Weil's digamma form (primary),
         W_inf(f) = (1/pi) integral_0^inf Re (M f)(1/2 + i r)
                    (ln pi - Re digamma(1/4 + i r/2)) dr,
-    with the Mellin transform on the critical line taken from one FFT
-    of the log-grid samples (A. Weil, 1952; E. Bombieri, 2000);
+    with the Mellin transform on the critical line taken from f's
+    closed form where it has one, on the heights where it is visible,
+    and else from one FFT of the log-grid samples (A. Weil, 1952;
+    E. Bombieri, 2000);
   * the duality pairing -<F(ln|x|), psi> with psi(y) = f(|1-y|), where
     F(ln|x|) = -(1/2)|y|^{-1}_reg - (gamma + ln 2 pi) delta is written in
     closed form: the symmetric-cut principal value of
     integral f(x) (|1-x|^{-1} + (1+x)^{-1}) dx plus c_inf f(1), with
     c_inf = ln(2 pi) + gamma (secondary; folded by x -> 1/x onto one
-    integral over ln x >= 0).
+    integral over ln x >= 0, with a step set by f's width in ln x).
 Their disagreement is monitored and fed into the error budget.
 """
 
@@ -40,15 +42,21 @@ from .grids import QuadratureSpec, trapezoid, trapezoid_with_coarse
 from .operators import TruncationSpec, primes_up_to
 from .special import EULER_GAMMA, digamma
 from .stages import WORK, stage
-from .transforms import _critical_heights, mellin, mellin_critical_line
+from .transforms import (_critical_heights, _window_samples, mellin,
+                         mellin_critical_line)
 from .zeros import ZeroTable
 
-# Principal-value step in u = ln x and |ln x| edge; the largest relative
-# route disagreement.  A step of 1/1024 with two Richardson steps leaves
-# 8e-10 at LogGaussian(1, 0, 0.012).
-_PV_STEP = 1.0 / 2048
+# Principal-value step in u = ln x: 1/64 of f's width in ln x (at most 1)
+# rounded down to a power of two, and never below 1/2048, the step for an
+# f of unknown width (a step of 1/1024 with two Richardson steps leaves
+# 8e-10 at LogGaussian(1, 0, 0.012)).  |ln x| edge; the largest relative
+# route disagreement.
+_PV_MIN_STEP, _PV_STEPS_PER_SCALE = 1.0 / 2048, 64
 _PV_EDGE = 60.0
 _CROSS_CHECK_TOL = 1e-5
+# Closed-form Mellin heights stop where |M f(1/2 + i r)| falls below this
+# fraction of its peak; the largest grid of the doubling ladder.
+_MELLIN_CUT, _MAX_GRID = 1e-18, 64001
 # ln(1e308): W_prime_total's largest prime power.
 _LOG_MAX_POWER = 308.0 * math.log(10.0)
 # The prime side leaves out powers where |f| < _PRIME_EPS and bounds them by
@@ -121,6 +129,17 @@ def W_prime_total(f, tr: TruncationSpec | None = None,
     return float(np.sum(lp[idx] * (f(n) + f(1.0 / n) / n))), tail
 
 
+def _pv_step(f) -> float:
+    """The largest power of two at most min(sigma, 1) / 64 for f's scale
+    sigma in ln x (TestFunction.log_scale), and never below 1/2048, the
+    step when f states no scale."""
+    sigma = f.log_scale()
+    if sigma is None:
+        return _PV_MIN_STEP
+    width = min(sigma, 1.0) / _PV_STEPS_PER_SCALE
+    return max(math.ldexp(0.5, math.frexp(width)[1]), _PV_MIN_STEP)
+
+
 def pv_regularised(f) -> float:
     """The symmetric-cut principal value
         lim_{eps -> 0} [ integral_{|1-x| > eps} f~(x) / |1-x| dx
@@ -134,21 +153,31 @@ def pv_regularised(f) -> float:
     part over u > U in closed form.  The integrand is 3 G(0) / 2 at
     u = 0, since G'(0) = -G(0) / 2.  U, the larger |end| of f's visible
     interval clamped to 60 and rounded up to the grid, leaves out only
-    samples below 1e-20.  The trapezoid on the 1-, 2-, 4- and 8-spaced subgrids
-    of u = k / 2048 with three Richardson steps removes the h^2, h^4 and
-    h^6 terms at u = 0."""
+    samples below 1e-20.  When f's visible interval lies on one side of
+    ln x = 0 and |G(0)| < 1e-20, |G| < 2e-20 on [0, U_lo) too, U_lo
+    being the smaller |end|, and the grid starts at the last grid point
+    at or below U_lo.  The grid is u = k h, n points with n - 1 a
+    multiple of 8, and h from _pv_step (1/64 for a log-Gaussian of width
+    1, 1/2048 for a log-bump); the trapezoid on its 1-, 2-, 4- and
+    8-spaced subgrids with three Richardson steps removes the h^2, h^4
+    and h^6 terms at u = 0."""
     lo, hi = np.clip(visible_interval(f, _PRIME_EPS), -_PV_EDGE, _PV_EDGE)
-    u = _PV_STEP * np.arange(
-        8 * max(1, math.ceil(max(hi, -lo) / (8 * _PV_STEP))) + 1)
+    step = _pv_step(f)
+    g0 = 2.0 * float(f.of_log(0.0))
+    first = (math.floor(max(lo, -hi, 0.0) / step)
+             if abs(g0) < _PRIME_EPS else 0)
+    u = step * (first + np.arange(8 * max(1, math.ceil(
+        (max(hi, -lo) / step - first) / 8)) + 1))
     WORK["pv_points"] = u.size
     decay = np.exp(-u)
     g = f.of_log(u) + decay * f.of_log(-u)
-    vals = np.full(u.size, 1.5 * g[0])
-    vals[1:] = 2.0 * (g[1:] - g[0] * decay[1:] ** 2) / -np.expm1(-2.0 * u[1:])
-    t = [float(trapezoid(vals[::k], k * _PV_STEP)) for k in (1, 2, 4, 8)]
+    vals = np.full(u.size, 1.5 * g0)
+    i = int(first == 0)
+    vals[i:] = 2.0 * (g[i:] - g0 * decay[i:] ** 2) / -np.expm1(-2.0 * u[i:])
+    t = [float(trapezoid(vals[::k], k * step)) for k in (1, 2, 4, 8)]
     for k in (4, 16, 64):
         t = [(k * fine - coarse) / (k - 1) for fine, coarse in zip(t, t[1:])]
-    return t[0] + float(g[0]) * math.log(-0.5 * math.expm1(-2.0 * u[-1]))
+    return t[0] + g0 * math.log(-0.5 * math.expm1(-2.0 * u[-1]))
 
 
 def archimedean_constant() -> float:
@@ -174,25 +203,69 @@ def _archimedean_weight(n_points: int,
     return r, weight, float(trapezoid(np.abs(weight), r[1]))
 
 
+def _last_visible(values: np.ndarray) -> int:
+    """The last index where |values| reaches 1e-18 of its peak (or is
+    not a number)."""
+    mag = np.abs(values)
+    return int(np.flatnonzero(~(mag < _MELLIN_CUT * mag.max()))[-1])
+
+
+def _closed_critical_line(f):
+    """(r, w, (M f)(1/2 + i r)) from f's closed-form Mellin transform on
+    the leading odd-length slice of _archimedean_weight(n)'s heights that
+    ends just past the last height where |M f| reaches 1e-18 of its
+    peak, or None if f has no closed form.  126 probes, every
+    (n - 1)/125-th height, place that height between two probes, and n
+    climbs mellin_critical_line's doubling ladder (4001 .. 64001) while
+    the last probe reaches it.  The samples on QuadratureSpec()'s grid
+    are checked first, so f raises the WindowError that the FFT would,
+    before a closed form can overflow."""
+    _window_samples(f, 0.5, QuadratureSpec())
+    n = QuadratureSpec().n_points
+    while True:
+        r, weight, _ = _archimedean_weight(n)
+        # n - 1 = 4000 2^j, so the probes end on the last height
+        stride = (n - 1) // 125
+        probes = f.mellin_closed(0.5 + 1j * r[::stride])
+        if probes is None:
+            return None
+        seen = _last_visible(probes)
+        if seen < 125 or n == _MAX_GRID:
+            break
+        n = 2 * n - 1
+    values = f.mellin_closed(0.5 + 1j * r[:min(seen + 1, 125) * stride + 1])
+    last = _last_visible(values)
+    keep = min(last + 3 - last % 2, values.size)
+    return r[:keep], weight[:keep], values[:keep]
+
+
 def W_infty(f) -> tuple[float, float, float]:
     """Archimedean term by Weil's digamma form, cross-checked against
     the principal-value route.
 
     Returns (value, quadrature_error_estimate, route_disagreement) as
-    floats.  The estimate is the change of the r-integral over every
-    other sample, plus |integrand(r_max)| r_max / pi for the heights
-    above the last FFT height r_max, plus the Mellin values' truncation
+    floats.  M f(1/2 + i r) comes from f's closed form where it has one
+    (_closed_critical_line), else from the FFT of mellin_critical_line.
+    The estimate is the change of the r-integral over every other
+    sample, plus |integrand(r_max)| r_max / pi for the heights above the
+    last height r_max, plus, for the FFT, the Mellin values' truncation
     bound integrated against |weight|.  Raises DisagreementError when
     the routes differ by more than _CROSS_CHECK_TOL (scaled by |value|).
     """
-    _, mf, trunc = mellin_critical_line(f)
-    r, weight, weight_l1 = _archimedean_weight(mf.size)
+    closed = _closed_critical_line(f)
+    if closed is None:
+        _, mf, trunc = mellin_critical_line(f)
+        r, weight, weight_l1 = _archimedean_weight(mf.size)
+        trunc *= weight_l1
+    else:
+        r, weight, mf = closed
+        trunc = 0.0
+        WORK["mellin_heights"] = r.size
     integrand = mf.real * weight
     fine, coarse = trapezoid_with_coarse(integrand, r[1])
     value = float(fine) / math.pi
     est = (abs(float(fine) - float(coarse))
-           + abs(float(integrand[-1])) * float(r[-1])
-           + trunc * weight_l1) / math.pi
+           + abs(float(integrand[-1])) * float(r[-1]) + trunc) / math.pi
     secondary = 0.5 * pv_regularised(f) + archimedean_constant() * f(1.0)
     disagreement = abs(value - secondary)
     if disagreement > _CROSS_CHECK_TOL * max(1.0, abs(value)):

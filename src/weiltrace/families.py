@@ -59,6 +59,10 @@ class TestFunction:
         """(a, mu, sigma) if |f| == |a| exp(-(ln x - mu)^2 / 2 sigma^2)."""
         return None
 
+    def log_scale(self):
+        """The width in u = ln x over which f varies, or None if unknown."""
+        return None
+
     def mellin_closed(self, s: complex):
         """Closed-form Mellin transform, or None if unavailable."""
         return None
@@ -85,6 +89,9 @@ class LogGaussian(TestFunction):
 
     def loggauss_params(self):
         return (self.amplitude, self.center, self.width)
+
+    def log_scale(self):
+        return self.width
 
     def mellin_closed(self, s):
         # int a exp(-(u-mu)^2/2s^2) e^{su} du

@@ -106,7 +106,15 @@ def _lag_values(f, u: np.ndarray, h: float) -> np.ndarray:
 
 
 def commutator_trace(f0, f1, phi: AuxiliaryPhi, grid: LogGridSpec) -> float:
-    """tr(conv(f0) [M_phi, conv(f1)]) on the log grid.
+    """tr(conv(f0) [M_phi, conv(f1)]) on the log grid; _trace_and_scale
+    says how, and when it raises WindowError."""
+    return _trace_and_scale(f0, f1, phi, grid)[0]
+
+
+def _trace_and_scale(f0, f1, phi: AuxiliaryPhi, grid: LogGridSpec,
+                     ) -> tuple[float, float]:
+    """(tr(conv(f0) [M_phi, conv(f1)]) on the log grid, min(1, peak |f0|
+    times peak |f1| on the lag grid)).
 
     The kernel K(x_i, x_j) = sum_k w_k f0(x_i/x_k) f1(x_k/x_j)
     (phi_k - phi_j) is traced against the weights w without forming it:
@@ -117,14 +125,17 @@ def commutator_trace(f0, f1, phi: AuxiliaryPhi, grid: LogGridSpec) -> float:
     with g[m] = v0[m] v1[-m] over the 2n-1 lags and a[m] =
     sum_k w_{k+m} w_k phi_k.  Each of f0 and f1 must have mass on the
     doubled window and its effective support must fit inside it, phi
-    must be 0 and 1 at the window's ends and the sum must not overflow,
-    else WindowError.
+    must be 0 and 1 at the window's ends, g must not be 0 at every lag
+    (both sides would be 0 whatever f0 and f1 are) and the sum must not
+    overflow, else WindowError.
     """
     u, h = grid.u_grid()
     v0 = _lag_values(f0, u, h)
     v1 = _lag_values(f1, u, h)
+    peaks = []
     for name, v in (("f0", v0), ("f1", v1)):
-        peak = np.max(np.abs(v))
+        peak = float(np.max(np.abs(v)))
+        peaks.append(peak)
         if peak == 0.0:
             raise WindowError(
                 f"trace window [-{2 * grid.half_width:g}, "
@@ -151,7 +162,13 @@ def commutator_trace(f0, f1, phi: AuxiliaryPhi, grid: LogGridSpec) -> float:
         g = v0 * v1[::-1]
         trace = float(np.dot(g - g[::-1], _lag_weights(
             grid.weights() * switch, h)))
-    return _finite(trace, "the commutator trace")
+    if not g.any():
+        raise WindowError(
+            f"f0(x) f1(1/x) is 0 at every lag sample (peaks {peaks[0]:.3g} "
+            f"and {peaks[1]:.3g}): both sides would be 0 whatever f0 and "
+            f"f1 are")
+    return (_finite(trace, "the commutator trace"),
+            min(1.0, peaks[0] * peaks[1]))
 
 
 def _lag_weights(v: np.ndarray, h: float) -> np.ndarray:
@@ -201,10 +218,14 @@ def trace_rhs(f0, f1) -> float:
 
 
 def toeplitz_trace_check(f0, f1, phi: AuxiliaryPhi,
-                         grid: LogGridSpec) -> float:
-    """Residual |tr(conv(f0) [M_phi, conv(f1)]) - tau(f0 * d f1)|."""
+                         grid: LogGridSpec) -> tuple[float, float]:
+    """(residual |tr(conv(f0) [M_phi, conv(f1)]) - tau(f0 * d f1)|,
+    scale = min(1, peak |f0| peak |f1| on the lag grid)).  Both sides
+    are linear in f0 and in f1, so a tolerance meant for unit amplitudes
+    is to be multiplied by scale: for small amplitudes an absolute one
+    passes any residual."""
     WORK["trace_n"] = grid.n_points
     with stage("trace_kernel"):
-        lhs = commutator_trace(f0, f1, phi, grid)
+        lhs, scale = _trace_and_scale(f0, f1, phi, grid)
     with stage("trace_rhs"):
-        return abs(lhs - trace_rhs(f0, f1))
+        return abs(lhs - trace_rhs(f0, f1)), scale

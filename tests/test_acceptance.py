@@ -155,14 +155,14 @@ def test_criterion_08_toeplitz_trace():
              (LogGaussian(1.0, 0.0, 1.0), LogGaussian(1.0, -0.2, 0.008)))
     worst = max(toeplitz_trace_check(f0, f1, phi,
                                      LogGridSpec(n_points=2048,
-                                                 half_width=8.0))
+                                                 half_width=8.0))[0]
                 for f0, f1 in pairs)
     # refinement must shrink the residual where it is above roundoff
     f0, f1 = pairs[2]
-    coarse = toeplitz_trace_check(f0, f1, phi,
-                                  LogGridSpec(2048, 8.0))
-    fine = toeplitz_trace_check(f0, f1, phi,
-                                LogGridSpec(4096, 8.0))
+    coarse, _ = toeplitz_trace_check(f0, f1, phi,
+                                     LogGridSpec(2048, 8.0))
+    fine, _ = toeplitz_trace_check(f0, f1, phi,
+                                   LogGridSpec(4096, 8.0))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-6 and fine < coarse and elapsed < 120.0
     _line(8, "Toeplitz commutator trace", ok,

@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from weiltrace import ExpressionError, LogBump, LogGaussian, parse_function
+from weiltrace import (ExpressionError, LogBump, LogGaussian, parse_function,
+                       traces)
 from weiltrace.cli import _build_parser, _jsonable, main
 from weiltrace.exprs import _BUILTINS, _CONSTRUCTORS
 
@@ -488,6 +489,9 @@ def test_cli_error_outside_config_checks_gives_full_report(tmp_path):
     # f0(x) f1(1/x) is visible past |ln x| = 60
     ("check-trace-lemma", "--f0", "loggauss(1,55,1)",
      "--f1", "loggauss(1,-55,1)", "--window", "70", "--n", "16384"),
+    # 1e-200 * 1e-200 underflows: both sides were 0 and the check passed
+    ("check-trace-lemma", "--f0", "loggauss(1e-200,0,0.7)",
+     "--f1", "loggauss(1e-200,0.3,0.9)"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_cli_window_error_is_certification_failure(tmp_path, capfd, argv):
@@ -495,6 +499,23 @@ def test_cli_window_error_is_certification_failure(tmp_path, capfd, argv):
     assert status == 3
     assert report["outputs"]["error_type"] == "WindowError"
     assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("wrong_sign, status", [(False, 0), (True, 1)])
+def test_cli_trace_tolerance_scales_with_amplitude(tmp_path, monkeypatch,
+                                                  wrong_sign, status):
+    # with amplitudes 1e-4, |tau| ~ 1e-9 is below the 1e-6 tolerance, so
+    # a right-hand side of the wrong sign, trace_rhs(f1, f0) = -tau, passed
+    if wrong_sign:
+        rhs = traces.trace_rhs
+        monkeypatch.setattr(traces, "trace_rhs", lambda f0, f1: rhs(f1, f0))
+    got, report = _run(tmp_path, "check-trace-lemma",
+                       "--f0", "loggauss(1e-4,0,0.7)",
+                       "--f1", "loggauss(1e-4,0.3,0.9)")
+    assert got == status
+    out = report["outputs"]
+    assert out["tolerance"] <= 1e-6 * 1e-8
+    assert (out["residual"] < 1e-20) is not wrong_sign
 
 
 @pytest.mark.parametrize("argv", [

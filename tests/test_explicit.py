@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from weiltrace import (BudgetExceededError, DisagreementError, LogGaussian,
-                       TruncationSpec, W_infty, W_prime_total,
+from weiltrace import (BudgetExceededError, DisagreementError, LogBump,
+                       LogGaussian, TruncationSpec, W_infty, W_prime_total,
                        apply_J, archimedean_constant, digamma, find_zeros,
                        parse_function, primes_up_to, pv_regularised,
                        spectral_parts, verify_explicit_formula)
@@ -223,12 +223,57 @@ def test_pv_route_needs_the_whole_visible_window(monkeypatch, f):
         W_infty(f)
 
 
-@pytest.mark.parametrize("f, most", [(LogGaussian(1.0, 0.339, 0.1811), 4300),
-                                     (LogGaussian(1.0, -0.5, 1.0), 20700)])
+@pytest.mark.parametrize("f, most", [(LogGaussian(1.0, 0.339, 0.1811), 1100),
+                                     (LogGaussian(1.0, -0.5, 1.0), 700),
+                                     # visible on 5.56 <= -ln x <= 8.44
+                                     (LogGaussian(1.0, -7.0, 0.15), 1500)])
 def test_pv_regularised_samples_only_the_visible_window(f, most):
-    # the full |ln x| <= 60 grid holds 122,881 points
+    # the full |ln x| <= 60 grid at step 1/2048 holds 122,881 points
     pv_regularised(f)
     assert WORK["pv_points"] <= most
+
+
+@pytest.mark.parametrize("f, step", [
+    (LogGaussian(1.0, 0.0, 1.0), 1.0 / 64),
+    (LogGaussian(1.0, 0.0, 5.0), 1.0 / 64),
+    (LogGaussian(1.0, 0.3, 0.15), 1.0 / 512),
+    (LogGaussian(1.0, 0.3, 0.125), 1.0 / 512),
+    (LogGaussian(1.0, 0.0, 0.05), 1.0 / 2048),
+    (LogGaussian(1.0, 0.0, 0.012), 1.0 / 2048),
+    (LogBump(1.0, 0.5, 2.0, 1.0), 1.0 / 2048)])
+def test_pv_step_follows_the_width(f, step):
+    # the largest power of two at most min(sigma, 1) / 64, at least 1/2048
+    assert explicit._pv_step(f) == step
+
+
+def test_W_infty_closed_form_heights():
+    # |M f(1/2 + i r)| = C exp(-r^2 / 2) falls below 1e-18 of its peak at
+    # r ~ 9.1, about 233 of the default grid's 4001 heights
+    W_infty(LogGaussian(1.0, 0.0, 1.0))
+    assert WORK["mellin_heights"] <= 300
+    assert WORK["mellin_heights"] % 2 == 1
+
+
+def test_W_infty_closed_form_matches_the_fft():
+    # the closed form against the FFT's Mellin values on the same heights
+    # and weight, over the whole ladder of grid sizes
+    for sigma in (0.012, 0.02, 0.05, 0.12, 0.15, 0.2, 0.3, 0.6, 1.0):
+        for mu in np.arange(-7.0, 7.0 + 1e-9, 0.25):
+            f = LogGaussian(1.0, float(mu), sigma)
+            _, mf, _ = mellin_critical_line(f)
+            r, weight, _ = explicit._archimedean_weight(mf.size)
+            fft = float(trapezoid(mf.real * weight, r[1])) / math.pi
+            value = W_infty(f)[0]
+            assert abs(value - fft) <= 1e-13 * max(1.0, abs(value)), f
+
+
+def test_W_infty_log_bump_is_pinned():
+    # no closed form and no scale: the FFT and the 1/2048 principal-value
+    # step, bit for bit
+    got = W_infty(LogBump(1.0, 0.5, 2.0, 1.0))
+    assert [x.hex() for x in got] == [
+        "0x1.63a0c0b1c8a55p-3", "0x1.6f785954b7699p-40",
+        "0x1.8000000000000p-52"]
 
 
 def test_pv_regularised_far_off_window():

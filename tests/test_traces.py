@@ -92,9 +92,11 @@ def test_trace_check_notices_wrong_sign():
 
 def test_toeplitz_trace_smooth_pair():
     phi = AuxiliaryPhi(1.0)
-    res = toeplitz_trace_check(F0, F1, phi,
-                               LogGridSpec(n_points=1024, half_width=8.0))
+    res, scale = toeplitz_trace_check(
+        F0, F1, phi, LogGridSpec(n_points=1024, half_width=8.0))
     assert res < 1e-8
+    # both peaks are near 1: F1's centre is off the lag grid
+    assert 0.999 < scale <= 1.0
 
 
 def test_trace_rhs_oracle():
@@ -161,7 +163,7 @@ def test_toeplitz_trace_far_from_x_1():
     # the parent's |ln x| <= 18 grid cut tau in half: residual 2.55
     f0, f1 = LogGaussian(1.0, 17.0, 1.0), LogGaussian(1.0, -17.0, 1.0)
     grid = LogGridSpec(n_points=16384, half_width=40.0)
-    assert toeplitz_trace_check(f0, f1, AuxiliaryPhi(1.0), grid) < 1e-10
+    assert toeplitz_trace_check(f0, f1, AuxiliaryPhi(1.0), grid)[0] < 1e-10
 
 
 @pytest.mark.parametrize("width, half_width", [(12.0, 8.0), (2.0, 1.5)])
@@ -172,6 +174,18 @@ def test_commutator_trace_rejects_phi_wider_than_window(width, half_width):
         commutator_trace(LogGaussian(1.0, 0.0, 0.2),
                          LogGaussian(1.0, 0.1, 0.2), AuxiliaryPhi(width),
                          grid)
+
+
+@pytest.mark.parametrize("f0, f1", [
+    # f0(x) f1(1/x) is 0: f0 lives on 2 < x < 3 and f1(1/x) on 1/3 < x < 1/2
+    (LogBump(1.0, 2.0, 3.0), LogBump(1.0, 2.0, 3.0)),
+    # each function is visible on the lag grid, their products underflow
+    (LogGaussian(1e-200, 0.0, 0.7), LogGaussian(1e-200, 0.3, 0.9)),
+])
+def test_commutator_trace_rejects_a_zero_product(f0, f1):
+    grid = LogGridSpec(n_points=1024, half_width=8.0)
+    with pytest.raises(WindowError, match=r"f0\(x\) f1\(1/x\) is 0"):
+        commutator_trace(f0, f1, AuxiliaryPhi(1.0), grid)
 
 
 @pytest.mark.parametrize("f0, f1", [
