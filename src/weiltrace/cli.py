@@ -179,7 +179,8 @@ def _check_command(cfg: dict) -> tuple[dict, bool]:
         f = parse_function(_required(cfg, "f"))
         xs = [float(t) for t in _value(cfg, "x", "0.25,0.5,1,2,4").split(",")]
         tol = _tolerance(cfg, 1e-10)
-        residuals = {str(x): poisson_check(f, x, tr) for x in xs}
+        residuals = dict(zip(map(str, xs),
+                             poisson_check(f, xs, tr).tolist()))
         worst = max(residuals.values())
         return {"residuals": residuals, "max_residual": worst,
                 "tolerance": tol}, worst < tol
@@ -195,10 +196,9 @@ def _check_command(cfg: dict) -> tuple[dict, bool]:
         tr = _parse_trunc(cfg.get("trunc"))
         xs = [float(t) for t in _value(cfg, "x", "0.5,1,2").split(",")]
         tol = _tolerance(cfg, 1e-7)
-        residuals, kappas = {}, {}
-        for x in xs:
-            res, kappa = twisted_poisson_check(chi, f, x, tr)
-            residuals[str(x)], kappas[str(x)] = res, kappa
+        res, kappa = twisted_poisson_check(chi, f, xs, tr)
+        residuals = dict(zip(map(str, xs), res.tolist()))
+        kappas = dict.fromkeys(residuals, kappa)
         worst = max(residuals.values())
         kappa_defect = max(abs(abs(k) - 1.0) for k in kappas.values())
         ok = worst < tol and kappa_defect < 1e-12

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, WindowError
 
 
 class TestFunction:
@@ -94,10 +94,13 @@ class LogGaussian(TestFunction):
         return self.width
 
     def mellin_closed(self, s):
-        # int a exp(-(u-mu)^2/2s^2) e^{su} du
-        a, mu, sg = self.amplitude, self.center, self.width
-        return a * math.sqrt(2.0 * math.pi) * sg * np.exp(
-            s * mu + 0.5 * (sg * s) ** 2)
+        # int a exp(-(u-mu)^2/2s^2) e^{su} du, which may overflow alone
+        a, c, e = self.amplitude, math.sqrt(2.0 * math.pi) * self.width, (
+            s * self.center + 0.5 * (self.width * s) ** 2)
+        top = e.real.max() if isinstance(e, np.ndarray) else e.real
+        if top > 709.0 or abs(a) * c * math.exp(top) == math.inf:
+            raise WindowError(f"the Mellin transform of {self!r} overflows")
+        return a * c * np.exp(e)
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,15 @@ zeta function, Dirichlet L-functions, and the Hardy Z-function.
 
 All but xi and L are elementwise on numpy arrays, through the same code
 as for a scalar, which gives a Python complex (a float for theta, the
-zero count and Z).  hardy_z_grid evaluates Z on an equally spaced grid
-(the zero scan) with the partial sums of all points as one matrix
-product.
+zero count and Z).  hardy_z_scan evaluates Z on an equally spaced grid
+(the zero scan), with the partial sums of all points as one matrix
+product, and near it from the same terms.
 
-Everything here is self-contained binary64 arithmetic (long double
-only for the large phases of hardy_z_grid): Gamma by the
-Lanczos approximation, zeta and Hurwitz zeta by Euler-Maclaurin with
-explicit Bernoulli corrections, good to ~1e-13 relative accuracy on the
-strip |Im s| <= 120, -5 <= Re s <= 5 (zeta and L by reflection for
-Re s < 0).
+Everything here is self-contained binary64 arithmetic (long double only
+for the large phases of the zero scan and of L): Gamma by Lanczos, zeta
+and Hurwitz zeta by Euler-Maclaurin with explicit Bernoulli corrections,
+good to ~1e-13 relative accuracy on the strip |Im s| <= 120,
+-5 <= Re s <= 5 (zeta and L by reflection for Re s < 0).
 """
 
 from __future__ import annotations
@@ -47,6 +46,13 @@ _BERNOULLI_EVEN = (
     -691.0 / 2730.0, 7.0 / 6.0, -3617.0 / 510.0, 43867.0 / 798.0,
     -174611.0 / 330.0, 854513.0 / 138.0, -236364091.0 / 2730.0,
 )
+
+# Euler-Maclaurin tail and (k <= 8) Stirling series of theta coefficients
+_TAIL_SERIES = tuple(b / math.factorial(2 * k)
+                     for k, b in enumerate(_BERNOULLI_EVEN, 1))
+_THETA_SERIES = tuple((1 - 2.0 ** (1 - 2 * k)) * abs(b) / (8 * k * k - 4 * k)
+                      for k, b in enumerate(_BERNOULLI_EVEN[:8], 1))
+_TWO_PI = 8 * np.arctan(np.longdouble(1))   # reduces phases before rounding
 
 EULER_GAMMA = 0.5772156649015328606
 # Largest imaginary part of e^{i theta} zeta(1/2 + it), relative to
@@ -129,45 +135,54 @@ def digamma(z):
     return complex(out[0]) if scalar else out
 
 
+def _ragged_sum(counts, terms) -> np.ndarray:
+    """sum_{m <= counts[i]} of point i's terms, all from one call terms(rep,
+    m) on the flat (point, m = 1, 2, ...) grid, rep repeating per-point
+    arrays, summed by np.add.reduceat (0 for a zero count)."""
+    counts = np.asarray(counts, dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    m = np.arange(1, counts.sum() + 1) - np.repeat(starts, counts)
+    vals = np.asarray(terms(lambda x: np.repeat(x, counts), m))
+    out = np.zeros(counts.shape, dtype=vals.dtype)
+    # reduceat gives vals[start], not 0, for an empty segment
+    out[counts > 0] = np.add.reduceat(vals, starts[counts > 0])
+    return out
+
+
 def zeta_tail(n_start, s):
     """Euler-Maclaurin estimate of sum_{n > N} n^{-s} (N = n_start, also
     a non-integer: then over N + 1, N + 2, ...), elementwise in N and s.
 
     Valid to ~1e-14 once N >~ |Im s| / 2; exposed so callers can pair a
-    plain partial sum with an independent truncation point.
+    plain partial sum with an independent truncation point.  Horner's
+    rule in the term ratios (s + 2k - 1)(s + 2k) / N^2, 512 at a time.
     """
     scalar = np.ndim(n_start) == 0 and np.ndim(s) == 0
-    big_n = np.asarray(n_start, dtype=float)
-    s = np.asarray(s, dtype=complex)
-    out = big_n ** (1.0 - s) / (s - 1.0) - 0.5 * big_n ** (-s)
-    poch = s  # s (s+1) ... rising
-    power = big_n ** (-s - 1.0)
-    fact = 1.0
-    for k, b2k in enumerate(_BERNOULLI_EVEN, start=1):
-        fact *= (2.0 * k - 1.0) * (2.0 * k)
-        out += b2k / fact * poch * power
-        poch = poch * (s + (2.0 * k - 1.0)) * (s + 2.0 * k)
-        power /= big_n * big_n
-    return complex(out) if scalar else out
+    big_n, s = np.broadcast_arrays(np.asarray(n_start, dtype=float),
+                                   np.asarray(s, dtype=complex))
+    shape, big_n, s = s.shape, big_n.ravel(), s.ravel()
+    acc = np.empty(s.shape, dtype=complex)
+    for i in range(0, s.size, 512):
+        u = s[i:i + 512] + np.arange(1.0, 22.0, 2.0)[:, None]
+        part = _TAIL_SERIES[-1]
+        for c, ratio in zip(_TAIL_SERIES[-2::-1],
+                            (u * (u + 1.0) / big_n[i:i + 512] ** 2)[::-1]):
+            part = c + ratio * part
+        acc[i:i + 512] = part
+    out = np.exp(-s * np.log(big_n)) * (big_n / (s - 1.0) - 0.5
+                                       + s / big_n * acc)
+    return complex(out[0]) if scalar else out.reshape(shape)
 
 
 def _euler_maclaurin(s, a) -> np.ndarray:
     """sum_{n >= 0} (n + a)^{-s} over the broadcast of s and a: each
-    element's first N = max(20, ceil|Im s|) terms exp(-s ln(n + a)),
-    formed 256 arguments by 256 indices at a time, then zeta_tail."""
+    element's own first N = max(20, ceil|Im s|) terms exp(-s ln(n + a)),
+    all in one _ragged_sum, then zeta_tail."""
     shape = np.broadcast_shapes(np.shape(s), np.shape(a))
     s, a = (np.broadcast_to(x, shape).ravel() for x in (s, a))
     n_terms = np.maximum(20, np.ceil(np.abs(s.imag))).astype(np.int64)
-    partial = np.zeros(s.shape, dtype=complex)
-    order = np.argsort(n_terms, kind="stable")
-    for start in range(0, s.size, 256):
-        sel = order[start:start + 256]
-        cap = n_terms[sel, None]
-        top = int(cap.max())
-        for n0 in range(0, top, 256):
-            n = np.arange(n0, min(n0 + 256, top))
-            terms = np.exp(-s[sel, None] * np.log(n + a[sel, None]))
-            partial[sel] += np.where(n < cap, terms, 0.0).sum(axis=1)
+    partial = _ragged_sum(
+        n_terms, lambda rep, n: np.exp(-rep(s) * np.log(n - 1 + rep(a))))
     return (partial + zeta_tail(n_terms - 1 + a, s)).reshape(shape)
 
 
@@ -180,9 +195,10 @@ def zeta(s):
     # zeta(s) = 2^s pi^(s-1) sin(pi s / 2) Gamma(1-s) zeta(1-s)
     left = s.real < 0.0
     out = _euler_maclaurin(np.where(left, 1.0 - s, s), 1.0)
-    sl = s[left]
-    out[left] *= (2.0 ** sl * math.pi ** (sl - 1.0)
-                  * np.sin(math.pi * sl / 2.0) * gamma(1.0 - sl))
+    if left.any():
+        sl = s[left]
+        out[left] *= (2.0 ** sl * math.pi ** (sl - 1.0)
+                      * np.sin(math.pi * sl / 2.0) * gamma(1.0 - sl))
     return complex(out[0]) if scalar else out
 
 
@@ -252,22 +268,26 @@ def l_chi(chi, s: complex) -> complex:
             raise PoleError("L(s, chi) mod 1 is zeta, with a pole at s = 1")
         return -complex(np.sum(values[a - 1] * digamma(a / d))) / d
     total = np.sum(values[a - 1] * hurwitz_zeta(s, a / d))
-    return d ** (-s) * complex(total)
+    angle = float(s.imag * np.log(np.longdouble(d)) % _TWO_PI)
+    return cmath.rect(d ** -s.real, -angle) * complex(total)
 
 
 def rs_theta(t):
     """Riemann-Siegel theta: arg Gamma(1/4 + it/2) - (t/2) ln pi,
-    continuous and odd in t.
-
-    Computed through the Lanczos log-Gamma: on the vertical line
-    Re = 1/4 the shifted argument stays in the right half-plane and the
-    rational prefactor never winds, so the principal branch is already
-    the continuous one at every height used here.
-    """
+    continuous and odd in t.  For |t| >= 10 its Stirling series
+    (t/2)(ln(t / 2 pi) - 1) - pi/8 + sum_{k=1}^{8} c_k t^{1-2k}, with c_k
+    in _THETA_SERIES (2.9e-14 from mpmath), else the Lanczos log-Gamma,
+    whose branch on Re = 1/4 is the continuous one (2.4e-13 off at 120)."""
     a = np.abs(np.atleast_1d(np.asarray(t, dtype=float)))
-    out = np.sign(t) * (loggamma(0.25 + 0.5j * a).imag
-                        - 0.5 * a * math.log(math.pi))
-    return float(out[0]) if np.ndim(t) == 0 else out
+    out, big = np.empty(a.shape), a >= 10.0
+    u = a[big]
+    out[big] = (0.5 * u * (np.log(u / (2.0 * math.pi)) - 1.0) - math.pi / 8
+                + np.polyval(_THETA_SERIES[::-1], 1.0 / (u * u)) / u)
+    if not big.all():
+        u = a[~big]
+        out[~big] = (loggamma(0.25 + 0.5j * u).imag
+                     - 0.5 * u * math.log(math.pi))
+    return float(out[0] * np.sign(t)) if np.ndim(t) == 0 else out * np.sign(t)
 
 
 def zero_count_estimate(t):
@@ -298,46 +318,58 @@ def hardy_z(t):
     return float(z[0]) if scalar else z
 
 
-# Points per block of hardy_z_grid: the rows of its phase table.
+# Points per block of the scan grid: the rows of its phase table.
 GRID_BLOCK = 64
 
 
-def hardy_z_grid(step: float, count: int) -> np.ndarray:
-    """Z at t = np.arange(count) * step, to ~1e-13 relative like
-    hardy_z, with the Euler-Maclaurin partial sums of all points formed
-    as one matrix product.
-
-    With K = GRID_BLOCK and t = (b K + k) step,
-    e^{-it ln n} = e^{-i b K step ln n} e^{-i k step ln n}, so the
-    partial sums are P @ V with P[k, n] = e^{-i k step ln n} (K x N) and
-    V[n, b] = n^{-1/2} e^{-i b K step ln n} (N x blocks), rows n > N_b
-    of V zeroed: ~N (K + blocks) exponentials instead of ~N per point.
-    N_b = max(20, ceil(largest |t| of block b)) is at least each of its
-    points' own hardy_z term count.  This is the exact, simplest case of
-    the multi-evaluation of Odlyzko & Schoenhage (Trans. AMS 309, 1988).
-    The tail, theta, the |t| <= 120 cap and the imaginary-residue check
-    are those of hardy_z.  Records the product's shape in WORK as
-    scan_blocks and scan_terms (N).
-    """
+def hardy_z_scan(step: float, count: int):
+    """(Z at t_i = i step, i < count; near): near(start)(t, j) is Z at
+    t[..., m] in [t_s, t_s + step], s = start[j[m]].  At t_i = (bK + k)
+    step the partial sums are P @ V, P[k, n] = e^{-i k step ln n}, V[n, b]
+    = n^{-1/2} e^{-i b K step ln n} (K = GRID_BLOCK, n > N_b zeroed), the
+    simplest case of Odlyzko & Schoenhage (Trans. AMS 309, 1988).  near
+    takes t_s's terms c_n to t = t_s + tau by Horner's rule in tau on the
+    moments sum_n c_n (-i ln n)^m / m!, m < 14, of all starts, one product
+    (|tau ln n| <= 0.25 at step 0.05), with N = max(20, ceil(t_s + step)).
+    Tail, theta and residue check are hardy_z's; WORK gets the shape
+    of P @ V as scan_blocks and scan_terms (N)."""
     t = np.arange(count) * step
     if np.any(np.abs(t) > 120.0):
-        raise PoleError("hardy_z_grid implemented for |t| <= 120")
+        raise PoleError("hardy_z_scan implemented for |t| <= 120")
     blocks = -(-count // GRID_BLOCK)
     top = t[np.minimum(np.arange(1, blocks + 1) * GRID_BLOCK, count) - 1]
     n_b = np.maximum(20, np.ceil(np.abs(top))).astype(np.int64)
-    n = np.arange(1, n_b.max(initial=20) + 1)
-    phase = np.exp(-1j * step * np.outer(np.arange(GRID_BLOCK), np.log(n)))
-    # V's phases b K step ln n reach 120 ln 120 ~ 575, where binary64
-    # rounding (~5e-14) would show in Z: they are formed and reduced
-    # mod 2 pi in long double (80-bit on x86-64; where it is binary64,
-    # Z is still within ~1.2e-13 of hardy_z).
-    ld = np.longdouble
-    angle = np.outer(np.log(n.astype(ld)),
-                     GRID_BLOCK * ld(step) * np.arange(blocks))
-    angle %= 8 * np.arctan(ld(1))
-    base = np.exp(-0.5 * np.log(n)[:, None] - 1j * angle.astype(float))
-    base[n[:, None] > n_b] = 0.0
+    n = np.arange(1, max(20, math.ceil(count * step)) + 1)  # t <= count step
+    log_n = np.log(n)
+    phase = np.exp(-1j * step * np.outer(np.arange(GRID_BLOCK), log_n))
+    # V's phases reach 120 ln 120 ~ 575: reduced mod 2 pi in long double
+    angle = np.outer(np.log(n.astype(np.longdouble)),
+                     GRID_BLOCK * np.longdouble(step) * np.arange(blocks))
+    base = np.exp(-0.5 * log_n[:, None] - 1j * (angle % _TWO_PI).astype(float))
     WORK.update(scan_blocks=blocks, scan_terms=n.size)
-    partial = (phase @ base).T.ravel()[:count]
+    sums = (phase @ np.where(n[:, None] > n_b, 0.0, base)).T.ravel()[:count]
     tail = zeta_tail(np.repeat(n_b, GRID_BLOCK)[:count], 0.5 + 1j * t)
-    return _z_from_zeta(t, partial + tail)
+
+    def near(start):
+        n_terms = np.maximum(20, np.ceil((start + 1) * step)).astype(int)
+        b, k = np.divmod(start, GRID_BLOCK)
+        terms = np.where(n > n_terms[:, None], 0.0, phase[k] * base[:, b].T)
+        series = (np.vander(-1j * log_n, 14, increasing=True)
+                  / np.cumprod(np.r_[1.0, np.arange(1.0, 14.0)]))
+        moments = (terms @ series).T[::-1]
+
+        def z(at, which):
+            # tau to ~1e-17: start step is rounded only in long double
+            tau = (np.asarray(at, dtype=np.longdouble)
+                   - start[which] * np.longdouble(step)).astype(float)
+            return _z_from_zeta(at, np.polyval(moments[:, which], tau)
+                                + zeta_tail(n_terms[which], 0.5 + 1j * at))
+
+        return z
+
+    return _z_from_zeta(t, sums + tail), near
+
+
+def hardy_z_grid(step: float, count: int) -> np.ndarray:
+    """Z at t = np.arange(count) * step: hardy_z_scan's scan values."""
+    return hardy_z_scan(step, count)[0]

@@ -4,10 +4,9 @@ Zeros are found as sign changes of the Hardy Z-function on a fine scan
 grid, refined by a safeguarded secant method, and the count is
 cross-checked against the Riemann-von Mangoldt estimate so that a missed
 pair of close zeros (or a spurious double-count) is an error, not a
-silent wrong answer.  The scan evaluates Z on the grid by
-special.hardy_z_grid, whose partial sums are one matrix product; each
-refinement round evaluates hardy_z on one array, a pair of probes in
-every bracket still wider than the precision.
+silent wrong answer.  special.hardy_z_scan gives Z on the grid (one
+matrix product) and, from the same terms, at the probe pair of every
+bracket still wider than the precision in each refinement round.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CountMismatchError, OrderViolationError, TableParseError
-from .special import hardy_z, hardy_z_grid, zero_count_estimate
+from .special import hardy_z, hardy_z_scan, zero_count_estimate
 from .stages import WORK, stage
 
 
@@ -52,8 +51,8 @@ PRECISION = 1e-9
 def find_zeros(height_bound: float) -> ZeroTable:
     """All zero ordinates in (0, height_bound], by a bracketed secant
     refinement of the sign changes of Z on a SCAN_STEP grid: the grid
-    points below height_bound (by hardy_z_grid), then height_bound
-    itself (by hardy_z).  Brackets start at exactly these abscissae.
+    points below height_bound, then height_bound itself (by hardy_z).
+    Brackets start at exactly these abscissae; probes are hardy_z_scan's.
 
     height_bound must be <= 120 (the validated range of the Euler-Maclaurin
     Z) and should not itself be a zero ordinate.  Each sign-change
@@ -71,15 +70,17 @@ def find_zeros(height_bound: float) -> ZeroTable:
     if not 0.0 < height_bound <= 120.0:
         raise ValueError("need 0 < height_bound <= 120")
     delta = 0.4 * PRECISION
-    grid = np.arange(math.ceil(height_bound / SCAN_STEP)) * SCAN_STEP
-    grid = grid[grid < height_bound]    # the ceil can round up past T
+    grid = np.arange(math.ceil(height_bound / SCAN_STEP) + 1) * SCAN_STEP
+    grid = grid[grid < height_bound]    # so that grid.size SCAN_STEP >= T
     ts = np.append(grid, height_bound)
-    zs = np.append(hardy_z_grid(SCAN_STEP, grid.size), hardy_z(height_bound))
+    scan, near = hardy_z_scan(SCAN_STEP, grid.size)
+    zs = np.append(scan, hardy_z(height_bound))
     z0, z1 = zs[:-1], zs[1:]
-    bracket = (z0 != 0.0) & ((z0 * z1 < 0.0) | (z1 == 0.0))
-    lo, hi = ts[:-1][bracket], ts[1:][bracket]
-    flo, fhi = z0[bracket], z1[bracket]
+    start = np.flatnonzero((z0 != 0.0) & ((z0 * z1 < 0.0) | (z1 == 0.0)))
+    lo, hi = ts[start], ts[start + 1]
+    flo, fhi = z0[start], z1[start]
     x = _secant(lo, hi, flo, fhi)
+    z_near = near(start)
     # Widths at the start of the last two rounds, for the halving test.
     past = [np.full(lo.size, np.inf)] * 2
     rounds, points = 0, ts.size
@@ -95,8 +96,7 @@ def find_zeros(height_bound: float) -> ZeroTable:
                       x[live], 0.5 * (lo_l + hi_l))
         xl = np.clip(xl, lo_l + delta, hi_l - delta)
         a, b = xl - delta, xl + delta
-        fab = hardy_z(np.concatenate([a, b]))
-        fa, fb = fab[:a.size], fab[a.size:]
+        fa, fb = z_near(np.stack([a, b]), live)
         # The sign changes in [lo, a], else in [a, b] (the bracket
         # closes), else in [b, hi].
         part = np.select([flo_l * fa <= 0.0, flo_l * fb <= 0.0], [0, 1], 2)

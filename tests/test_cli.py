@@ -492,6 +492,10 @@ def test_cli_error_outside_config_checks_gives_full_report(tmp_path):
     # 1e-200 * 1e-200 underflows: both sides were 0 and the check passed
     ("check-trace-lemma", "--f0", "loggauss(1e-200,0,0.7)",
      "--f1", "loggauss(1e-200,0.3,0.9)"),
+    # every sample is finite, but the closed-form Mellin transform
+    # overflows at s = 1: the residual was inf, with a warning
+    ("verify-explicit-formula", "--f", "loggauss(1e300,20,1)",
+     "--zeros", "auto:60", "--primes", "10000"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_cli_window_error_is_certification_failure(tmp_path, capfd, argv):

@@ -30,6 +30,25 @@ def test_mobius_up_to():
     assert list(mu[1:21]) == expect
 
 
+def test_mobius_up_to_matches_trial_factorisation():
+    # The sieve uses the primes up to sqrt(n) only; a squarefree
+    # cofactor left above sqrt(n) is one more prime factor.
+    def mu(k):
+        sign, p = 1, 2
+        while p * p <= k:
+            if k % p == 0:
+                k //= p
+                if k % p == 0:
+                    return 0
+                sign = -sign
+            p += 1
+        return -sign if k > 1 else sign
+
+    for n in (1, 2, 3, 4, 24, 25, 26, 48, 49, 50, 3000):
+        assert mobius_up_to(n).tolist()[1:] == [mu(k)
+                                                for k in range(1, n + 1)]
+
+
 def test_mobius_up_to_matches_dirichlet_inverse_of_one():
     # sum_{d | n} mu(d) = [n = 1], solved for mu(n) in increasing n.
     n = 100_000

@@ -12,7 +12,7 @@ from weiltrace import (EULER_GAMMA, ImaginaryResidueError, PoleError,
                        primitive_characters,
                        hardy_z, hurwitz_zeta, l_chi, loggamma,
                        rs_theta, xi, zero_count_estimate, zeta, zeta_tail)
-from weiltrace.special import GRID_BLOCK, hardy_z_grid
+from weiltrace.special import GRID_BLOCK, hardy_z_grid, hardy_z_scan
 
 # Frozen 18-digit oracle values (independent multiprecision evaluation).
 ZETA_ORACLE = {
@@ -189,6 +189,15 @@ def test_rs_theta_oracle():
     assert rs_theta(20.0) == pytest.approx(1.18689480844448404, abs=1e-11)
 
 
+def test_rs_theta_against_mpmath_on_both_routes():
+    # log-Gamma below |t| = 10, the Stirling series from there on; the
+    # log-Gamma route alone was 2.4e-13 off near t = 120
+    mpmath = pytest.importorskip("mpmath")
+    t = np.linspace(-120.0, 120.0, 241) + 0.013
+    want = np.array([float(mpmath.siegeltheta(x)) for x in t])
+    assert np.all(np.abs(rs_theta(t) - want) <= 5e-14)
+
+
 def test_hardy_z_oracle():
     assert hardy_z(18.0) == pytest.approx(2.33679968991695191, rel=1e-11)
     assert hardy_z(30.0) == pytest.approx(0.596028519239884955, rel=1e-11)
@@ -280,6 +289,19 @@ def test_hardy_z_grid_matches_hardy_z(count):
     got = hardy_z_grid(0.05, count)
     assert got.shape == (count,)
     assert np.all(np.abs(got - want) <= 2e-13 * np.maximum(1.0, np.abs(want)))
+
+
+def test_hardy_z_scan_near_the_grid_against_mpmath():
+    # Z between scan points, from the scan's terms shifted by a Taylor
+    # series in the offset, as the zero refinement uses it.
+    mpmath = pytest.importorskip("mpmath")
+    values, near = hardy_z_scan(0.05, 2400)
+    start = np.arange(0, 2400, 37)
+    t = (start + np.linspace(0.0, 1.0, start.size)) * 0.05
+    got = near(start)(t, np.arange(start.size))
+    want = np.array([float(mpmath.siegelz(x)) for x in t])
+    assert np.all(np.abs(got - want) <= 2e-14 * np.maximum(1.0, np.abs(want)))
+    assert np.array_equal(values, hardy_z_grid(0.05, 2400))
 
 
 def test_hardy_z_grid_against_mpmath():
