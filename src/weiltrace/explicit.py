@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import BudgetExceededError, DisagreementError
-from .families import TestFunction, visible_interval
+from .families import TestFunction, log_step, visible_interval
 from .grids import QuadratureSpec, trapezoid, trapezoid_with_coarse
 from .operators import TruncationSpec, primes_up_to
 from .special import EULER_GAMMA, digamma
@@ -46,12 +46,7 @@ from .transforms import (_critical_heights, _window_samples, mellin,
                          mellin_critical_line)
 from .zeros import ZeroTable
 
-# Principal-value step in u = ln x: 1/64 of f's width in ln x (at most 1)
-# rounded down to a power of two, and never below 1/2048, the step for an
-# f of unknown width (a step of 1/1024 with two Richardson steps leaves
-# 8e-10 at LogGaussian(1, 0, 0.012)).  |ln x| edge; the largest relative
-# route disagreement.
-_PV_MIN_STEP, _PV_STEPS_PER_SCALE = 1.0 / 2048, 64
+# The principal value's |ln x| edge; the largest route disagreement.
 _PV_EDGE = 60.0
 _CROSS_CHECK_TOL = 1e-5
 # Closed-form Mellin heights stop where |M f(1/2 + i r)| falls below this
@@ -64,9 +59,11 @@ _LOG_MAX_POWER = 308.0 * math.log(10.0)
 _PRIME_EPS, _PSI_SLOPE = 1e-20, 1.03883
 
 
-def _mellin_value(f, s: complex) -> complex:
+def _mellin_values(f, s: np.ndarray) -> np.ndarray:
+    """(M f)(s) on an array s: one closed-form call, else quadratures."""
     closed = f.mellin_closed(s) if isinstance(f, TestFunction) else None
-    return mellin(f, s).value if closed is None else complex(closed)
+    return (np.array([mellin(f, z).value for z in s]) if closed is None
+            else closed)
 
 
 def _psi_tail(a: float, c: float, sig: float, k: int, log_x: float):
@@ -129,17 +126,6 @@ def W_prime_total(f, tr: TruncationSpec | None = None,
     return float(np.sum(lp[idx] * (f(n) + f(1.0 / n) / n))), tail
 
 
-def _pv_step(f) -> float:
-    """The largest power of two at most min(sigma, 1) / 64 for f's scale
-    sigma in ln x (TestFunction.log_scale), and never below 1/2048, the
-    step when f states no scale."""
-    sigma = f.log_scale()
-    if sigma is None:
-        return _PV_MIN_STEP
-    width = min(sigma, 1.0) / _PV_STEPS_PER_SCALE
-    return max(math.ldexp(0.5, math.frexp(width)[1]), _PV_MIN_STEP)
-
-
 def pv_regularised(f) -> float:
     """The symmetric-cut principal value
         lim_{eps -> 0} [ integral_{|1-x| > eps} f~(x) / |1-x| dx
@@ -157,12 +143,12 @@ def pv_regularised(f) -> float:
     ln x = 0 and |G(0)| < 1e-20, |G| < 2e-20 on [0, U_lo) too, U_lo
     being the smaller |end|, and the grid starts at the last grid point
     at or below U_lo.  The grid is u = k h, n points with n - 1 a
-    multiple of 8, and h from _pv_step (1/64 for a log-Gaussian of width
+    multiple of 8, and h from log_step (1/64 for a log-Gaussian of width
     1, 1/2048 for a log-bump); the trapezoid on its 1-, 2-, 4- and
     8-spaced subgrids with three Richardson steps removes the h^2, h^4
     and h^6 terms at u = 0."""
     lo, hi = np.clip(visible_interval(f, _PRIME_EPS), -_PV_EDGE, _PV_EDGE)
-    step = _pv_step(f)
+    step = log_step(f)
     g0 = 2.0 * float(f.of_log(0.0))
     first = (math.floor(max(lo, -hi, 0.0) / step)
              if abs(g0) < _PRIME_EPS else 0)
@@ -278,23 +264,20 @@ def W_infty(f) -> tuple[float, float, float]:
 def spectral_parts(f, zt: ZeroTable) -> tuple[float, float, float]:
     """(pole_contribution, zero_contribution, certified_bound) of the
     spectral side: poles of the completed zeta at 0 and 1 enter with
-    order +1, table zeros 1/2 +- i gamma with order -1 each.  The bound
-    covers the zeros above the table height plus the sensitivity of the
-    zero sum to the table's ordinate precision."""
-    poles = _mellin_value(f, 0.0) + _mellin_value(f, 1.0)
-    zero_sum = 0.0 + 0.0j
-    sens = 0.0
-    WORK["zeros_summed"] = len(zt.ordinates)
-    for g in zt.ordinates:
-        mv = _mellin_value(f, complex(0.5, g))
-        zero_sum += 2.0 * mv.real
-        sens += 2.0 * abs(mv) * (1.0 + g) * zt.precision
+    order +1, table zeros 1/2 +- i gamma with order -1 each, all in one
+    call of _mellin_values.  The bound covers the zeros above the table
+    height plus the sensitivity of the zero sum to the ordinate precision."""
+    gamma = np.asarray(zt.ordinates, dtype=float)
+    mv = _mellin_values(f, np.concatenate(([0.0, 1.0], 0.5 + 1j * gamma)))
+    WORK["zeros_summed"] = gamma.size
+    poles = complex(mv[0] + mv[1])
+    zero_sum = 2.0 * float(np.sum(mv[2:].real))
+    sens = 2.0 * zt.precision * float(np.sum(np.abs(mv[2:]) * (1.0 + gamma)))
     bound = _zero_tail_bound(f, zt.height_bound) + sens
-    for part in (poles, zero_sum):
-        if abs(part.imag) > 1e-10 * max(1.0, abs(part.real)):
-            raise DisagreementError(
-                f"spectral side has imaginary residue {part.imag:.3e}")
-    return float(poles.real), float(zero_sum.real), bound
+    if abs(poles.imag) > 1e-10 * max(1.0, abs(poles.real)):
+        raise DisagreementError(
+            f"spectral side has imaginary residue {poles.imag:.3e}")
+    return poles.real, zero_sum, bound
 
 
 def _zero_tail_bound(f, height: float) -> float:
@@ -303,8 +286,8 @@ def _zero_tail_bound(f, height: float) -> float:
     params = f.loggauss_params() if hasattr(f, "loggauss_params") else None
     if params is None:
         # Fall back: sample |M f(1/2 + it)| and require it negligible.
-        tail = abs(_mellin_value(f, complex(0.5, height)))
-        return 1e3 * tail
+        tail = _mellin_values(f, np.array([0.5 + 1j * height]))
+        return 1e3 * abs(complex(tail[0]))
     a, mu, sig = params
     amp = abs(a) * math.sqrt(2.0 * math.pi) * sig \
         * math.exp(0.5 * mu + 0.125 * sig * sig)

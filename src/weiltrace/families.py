@@ -30,6 +30,11 @@ import numpy as np
 
 from .errors import DomainError, WindowError
 
+# log_step: steps per unit of f's width in ln x, and the step for an f of
+# unknown width (a step of 1/1024 with two Richardson steps leaves 8e-10
+# in the principal value at LogGaussian(1, 0, 0.012)).
+_LOG_STEPS_PER_SCALE, _MIN_LOG_STEP = 64, 1.0 / 2048
+
 
 class TestFunction:
     """Base class; concrete members are the dataclasses below."""
@@ -149,6 +154,18 @@ def visible_interval(f, eps: float, *, relative: bool = False,
     if support is None:
         raise TypeError(f"no decay metadata to locate {f!r}")
     return math.log(support[0]), math.log(support[1])
+
+
+def log_step(f) -> float:
+    """A trapezoid step in u = ln x for integrands that vary like f: the
+    largest power of two at most min(sigma, 1) / 64 for f's scale sigma
+    in ln x (TestFunction.log_scale), and never below 1/2048, the step
+    when f states no scale."""
+    sigma = f.log_scale()
+    if sigma is None:
+        return _MIN_LOG_STEP
+    width = min(sigma, 1.0) / _LOG_STEPS_PER_SCALE
+    return max(math.ldexp(0.5, math.frexp(width)[1]), _MIN_LOG_STEP)
 
 
 def scale(f: TestFunction, t: float) -> TestFunction:

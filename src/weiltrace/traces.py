@@ -9,8 +9,8 @@ Two identities are checked numerically on a logarithmic grid:
     (d f)(x) = f(x) ln x, * is multiplicative convolution, and
     tau(g) = g(1); the left side is discretised on a log grid and its
     weighted diagonal is summed over lags, so no kernel matrix is formed;
-    the right side is a trapezoid sampled only where both f0(x) and
-    f1(1/x) reach 1e-20 of their peaks;
+    the right side is a trapezoid at the narrower function's log_step,
+    sampled only where both f0(x) and f1(1/x) reach 1e-20 of their peaks;
 
   * the switch identity  integral (phi(z) - phi(x z)) d*z = ln(1/x),
     which is what makes the trace independent of the particular phi.
@@ -24,14 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WindowError
-from .families import visible_interval
+from .families import log_step, visible_interval
 from .grids import cinf_step, trapezoid
 from .stages import WORK, stage
 
-# trace_rhs: its u = ln x grid, step 0.0012 anchored at u = -18; the
-# |u| its sampled interval may not leave (the principal value's edge);
-# the fraction of each function's peak below which it is left out.
-_RHS_STEP, _RHS_ORIGIN = 36.0 / 30000, -18.0
+# trace_rhs: the |u| its sampled interval may not leave (the principal
+# value's edge); the fraction of each function's peak below which it is
+# left out.
 _RHS_EDGE = 60.0
 _RHS_EPS = 1e-20
 
@@ -191,12 +190,13 @@ def _finite(value: float, name: str) -> float:
 
 def trace_rhs(f0, f1) -> float:
     """tau(f0 * d f1) = integral f0(x) f1(1/x) ln(1/x) d*x by an
-    independent trapezoid in u = ln x with step 0.0012 (finer than the
-    kernel grid) on the grid points u = -18 + 0.0012 k.  It samples only
-    the intersection of f0's visible interval (where |f0| reaches 1e-20
-    of its peak) with the reflection u -> -u of f1's, widened to the
-    grid: 0.0 when that is empty, WindowError when it leaves
-    |u| <= 60 or the integral overflows."""
+    independent trapezoid in u = ln x on the points u = k h, h the
+    smaller of f0's and f1's log_step (1/128 for widths 0.7 and 0.9,
+    1/2048 for a log-bump).  It samples only the intersection of f0's
+    visible interval (where |f0| reaches 1e-20 of its peak) with the
+    reflection u -> -u of f1's, widened to the grid: 0.0 when that is
+    empty, WindowError when it leaves |u| <= 60 or the integral
+    overflows."""
     lo0, hi0 = visible_interval(f0, _RHS_EPS, relative=True)
     lo1, hi1 = visible_interval(f1, _RHS_EPS, relative=True)
     lo, hi = max(lo0, -hi1), min(hi0, -lo1)
@@ -207,13 +207,11 @@ def trace_rhs(f0, f1) -> float:
         raise WindowError(
             f"f0(x) f1(1/x) is visible on ln x in [{lo:.6g}, {hi:.6g}], "
             f"which leaves |ln x| <= {_RHS_EDGE:g}")
-    k = np.arange(math.floor((lo - _RHS_ORIGIN) / _RHS_STEP),
-                  math.ceil((hi - _RHS_ORIGIN) / _RHS_STEP) + 1)
-    u = _RHS_ORIGIN + k * _RHS_STEP
+    step = min(log_step(f0), log_step(f1))
+    u = step * np.arange(math.floor(lo / step), math.ceil(hi / step) + 1)
     WORK["trace_rhs_points"] = u.size
     with np.errstate(over="ignore", invalid="ignore"):
-        value = float(trapezoid(f0.of_log(u) * f1.of_log(-u) * (-u),
-                                _RHS_STEP))
+        value = float(trapezoid(f0.of_log(u) * f1.of_log(-u) * (-u), step))
     return _finite(value, "tau(f0 * d f1)")
 
 

@@ -287,7 +287,7 @@ def test_cli_stage_timings_and_work(tmp_path, monkeypatch, capsys):
     assert status == 0
     assert list(report["timings"]) == ["trace_kernel", "trace_rhs"]
     assert sum(report["timings"].values()) <= report["wall_time_s"]
-    assert report["work"] == {"trace_n": 1024, "trace_rhs_points": 11199}
+    assert report["work"] == {"trace_n": 1024, "trace_rhs_points": 1721}
 
     status, report = _run(tmp_path, "zeros", "--max-height", "60")
     assert status == 0

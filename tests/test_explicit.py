@@ -6,9 +6,10 @@ import pytest
 from weiltrace import (BudgetExceededError, DisagreementError, LogBump,
                        LogGaussian, TruncationSpec, W_infty, W_prime_total,
                        apply_J, archimedean_constant, digamma, find_zeros,
-                       parse_function, primes_up_to, pv_regularised,
+                       mellin, parse_function, primes_up_to, pv_regularised,
                        spectral_parts, verify_explicit_formula)
 from weiltrace import explicit
+from weiltrace.families import log_step
 from weiltrace.grids import trapezoid
 from weiltrace.stages import WORK
 from weiltrace.transforms import mellin_critical_line
@@ -243,7 +244,7 @@ def test_pv_regularised_samples_only_the_visible_window(f, most):
     (LogBump(1.0, 0.5, 2.0, 1.0), 1.0 / 2048)])
 def test_pv_step_follows_the_width(f, step):
     # the largest power of two at most min(sigma, 1) / 64, at least 1/2048
-    assert explicit._pv_step(f) == step
+    assert log_step(f) == step
 
 
 def test_W_infty_closed_form_heights():
@@ -315,6 +316,22 @@ def test_spectral_parts_pole_closed_form(reference_zeros):
     assert poles == pytest.approx(expect_poles, abs=1e-10)
     assert abs(zero_sum) < 1e-30      # f-hat is tiny at height >= 14
     assert bound >= 0.0
+
+
+@pytest.mark.parametrize("f", [LogGaussian(1.0, 0.2, 0.15),
+                               LogBump(1.0, 0.5, 2.0, 1.0)])
+def test_spectral_parts_against_each_zero(f, reference_zeros):
+    # the poles and zeros from one array call against one call per point
+    def one(s):
+        closed = f.mellin_closed(s) if isinstance(f, LogGaussian) else None
+        return mellin(f, s).value if closed is None else complex(closed)
+
+    want_poles = (one(0.0) + one(1.0)).real
+    want_zeros = 2.0 * math.fsum(one(complex(0.5, g)).real
+                                 for g in reference_zeros.ordinates)
+    poles, zero_sum, _ = spectral_parts(f, reference_zeros)
+    assert abs(poles - want_poles) <= 1e-15 * max(1.0, abs(want_poles))
+    assert abs(zero_sum - want_zeros) <= 1e-15 * max(1.0, abs(want_zeros))
 
 
 def test_sides_are_linear(reference_zeros):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from weiltrace import (AuxiliaryPhi, LogBump, LogGaussian, LogGridSpec,
                        WindowError, cinf_step, commutator_trace,
                        phi_log_identity, toeplitz_trace_check, trace_rhs)
+from weiltrace.families import visible_interval
 from weiltrace.stages import WORK
 from weiltrace.traces import _lag_weights
 
@@ -112,6 +113,9 @@ def test_trace_rhs_oracle():
     assert got == pytest.approx(float(expect), abs=1e-10)
 
 
+_SWEEP_WIDTHS = (0.008, 0.02, 0.05, 0.1, 0.3, 0.5, 1.0, 1.5, 3.0)
+
+
 def _gaussian_moment(f0, f1):
     # u = ln x: a0 a1 exp(-(u - m0)^2 / 2 v0 - (u + m1)^2 / 2 v1) (-u) is
     # a Gaussian of centre c and width w times -u, so the integral is -c
@@ -134,10 +138,30 @@ def _gaussian_moment(f0, f1):
     (LogGaussian(1.0, -30.0, 1.0), LogGaussian(1.0, 30.0, 1.0)),
     # criterion 8's narrow pair
     (LogGaussian(1.0, 0.0, 1.0), LogGaussian(1.0, -0.2, 0.008)),
+    # every pair of widths: the step follows the narrower function
+    *[(LogGaussian(1.0, 0.1, s0), LogGaussian(1.0, -0.25, s1))
+      for s0 in _SWEEP_WIDTHS for s1 in _SWEEP_WIDTHS],
 ])
 def test_trace_rhs_gaussian_moment(f0, f1):
     tau = _gaussian_moment(f0, f1)
     assert abs(trace_rhs(f0, f1) - tau) <= 1e-12 * max(1.0, abs(tau))
+
+
+@pytest.mark.parametrize("f0, f1", [
+    (LogBump(1.0, 0.5, 2.0, 1.0), LogBump(1.0, 0.7, 1.5, 1.0)),
+    (LogBump(2.0, 0.8, 3.0, 0.5), LogBump(1.0, 0.4, 1.6, 2.0)),
+    (LogBump(1.0, 0.2, 1.5, 0.3), LogBump(1.0, 0.9, 4.0, 0.3)),
+    # a log-bump states no width: the step is 1/2048 beside a Gaussian
+    (LogGaussian(1.0, 0.2, 0.5), LogBump(1.0, 0.5, 2.0, 1.0)),
+    (LogBump(1.0, 0.5, 2.0, 1.0), LogGaussian(1.0, 0.3, 0.05)),
+])
+def test_trace_rhs_log_bump(f0, f1):
+    # a 2,000,001-point trapezoid over the product's support
+    lo0, hi0 = visible_interval(f0, 1e-20, relative=True)
+    lo1, hi1 = visible_interval(f1, 1e-20, relative=True)
+    u = np.linspace(max(lo0, -hi1), min(hi0, -lo1), 2000001)
+    want = np.trapezoid(f0.of_log(u) * f1.of_log(-u) * (-u), u)
+    assert abs(trace_rhs(f0, f1) - want) <= 1e-15
 
 
 def test_trace_rhs_disjoint_supports():
