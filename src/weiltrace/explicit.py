@@ -8,7 +8,7 @@ W_p(f) = ln(p) sum_e [f(p^e) + p^{-e} f(p^{-e})] collects the powers of
 the prime p, and W_inf is the archimedean local term.  The prime side
 sums, in one call of f, the prime powers in f's visible interval (the
 ln x where |f| can exceed 1e-20, which also cuts the principal-value
-route below) and bounds the rest by Chebyshev's psi(x) < 1.03883 x.
+route below) and bounds the rest by f's prime_tail.
 
 W_inf is computed by two genuinely different routes:
   * Weil's digamma form (primary),
@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import BudgetExceededError, DisagreementError
-from .families import TestFunction, log_step, visible_interval
+from .families import TestFunction, log_step
 from .grids import QuadratureSpec, trapezoid, trapezoid_with_coarse
 from .operators import TruncationSpec, primes_up_to
 from .special import EULER_GAMMA, digamma
@@ -54,54 +54,32 @@ _CROSS_CHECK_TOL = 1e-5
 _MELLIN_CUT, _MAX_GRID = 1e-18, 64001
 # ln(1e308): W_prime_total's largest prime power.
 _LOG_MAX_POWER = 308.0 * math.log(10.0)
-# The prime side leaves out powers where |f| < _PRIME_EPS and bounds them by
-# psi(x) < 1.03883 x, x > 0 (Rosser & Schoenfeld, Illinois J. Math. 6, 1962).
-_PRIME_EPS, _PSI_SLOPE = 1e-20, 1.03883
+# The prime side leaves out powers where |f| < _PRIME_EPS; f's prime_tail
+# bounds them.
+_PRIME_EPS = 1e-20
 
 
 def _mellin_values(f, s: np.ndarray) -> np.ndarray:
     """(M f)(s) on an array s: one closed-form call, else quadratures."""
-    closed = f.mellin_closed(s) if isinstance(f, TestFunction) else None
+    closed = f.mellin_closed(s)
     return (np.array([mellin(f, z).value for z in s]) if closed is None
             else closed)
-
-
-def _psi_tail(a: float, c: float, sig: float, k: int, log_x: float):
-    """1.03883 (X' h(X') + int_{X'}^inf h), X' = max(e^log_x, peak of h),
-    for h(x) = |a| x^{-k} exp(-(ln x - c)^2 / 2 sig^2); inf on overflow."""
-    w, s2 = 1 - k, sig * sig
-    lx = max(log_x, c - k * s2)
-    with np.errstate(over="ignore"):
-        return _PSI_SLOPE * abs(a) * float(
-            np.exp(w * lx - (lx - c) ** 2 / (2.0 * s2))
-            + np.exp(w * c + 0.5 * w * s2) * sig * math.sqrt(0.5 * math.pi)
-            * math.erfc((lx - c - w * s2) / (sig * math.sqrt(2.0))))
 
 
 def _prime_cut(f, tr: TruncationSpec) -> tuple[float, float]:
     """(L, bound): the prime side keeps the powers n with ln n <= L, and
     bound covers every power it leaves out.
 
-    L, the larger |end| of f's visible interval (families.visible_interval)
-    and at most ln(1e308) so that n is finite, leaves out n and 1/n where
-    |f| < 1e-20.  Each omitted n
-    exceeds X = min(e^L, p_max, 2^(e_max + 1)).  For h(x) = |f(x)| and
-    |f(1/x)| / x, which rise to one peak and then fall, partial summation
-    against psi(x) < 1.03883 x gives sum_{n > X} Lambda(n) h(n) <=
-    1.03883 (X' h(X') + int_{X'}^inf h) with X' = max(X, peak of h); for
-    a log-bump (peak at the middle of its support in ln x) it is at most
-    sup|f| 1.03883 Y for each h whose support ends at Y > X."""
-    u_lo, u_hi = visible_interval(f, _PRIME_EPS)
+    L, the larger |end| of f.visible(1e-20) and at most ln(1e308) so
+    that n is finite, leaves out n and 1/n where |f| < 1e-20.  Each
+    omitted n exceeds X = min(e^L, p_max, 2^(e_max + 1)), and
+    f.prime_tail(ln X) bounds them (TestFunction.prime_tail)."""
+    if not isinstance(f, TestFunction):
+        raise TypeError(f"{f!r} states no decay to cut the prime side at")
+    u_lo, u_hi = f.visible(_PRIME_EPS)
     log_cut = min(max(u_hi, -u_lo), _LOG_MAX_POWER)
     log_x = min(log_cut, math.log(tr.p_max), (tr.e_max + 1) * math.log(2.0))
-    params = f.loggauss_params() if hasattr(f, "loggauss_params") else None
-    if params is not None:
-        a, mu, sig = params
-        return log_cut, (_psi_tail(a, mu, sig, 0, log_x)
-                         + _psi_tail(a, -mu, sig, 1, log_x))
-    lo, hi = f.support()
-    ends = [y for y in (hi, 1.0 / lo) if math.log(y) > log_x]
-    return log_cut, _PSI_SLOPE * abs(f(math.sqrt(lo * hi))) * sum(ends)
+    return log_cut, f.prime_tail(log_x)
 
 
 def W_prime_total(f, tr: TruncationSpec | None = None,
@@ -147,7 +125,7 @@ def pv_regularised(f) -> float:
     1, 1/2048 for a log-bump); the trapezoid on its 1-, 2-, 4- and
     8-spaced subgrids with three Richardson steps removes the h^2, h^4
     and h^6 terms at u = 0."""
-    lo, hi = np.clip(visible_interval(f, _PRIME_EPS), -_PV_EDGE, _PV_EDGE)
+    lo, hi = np.clip(f.visible(_PRIME_EPS), -_PV_EDGE, _PV_EDGE)
     step = log_step(f)
     g0 = 2.0 * float(f.of_log(0.0))
     first = (math.floor(max(lo, -hi, 0.0) / step)
@@ -266,37 +244,23 @@ def spectral_parts(f, zt: ZeroTable) -> tuple[float, float, float]:
     spectral side: poles of the completed zeta at 0 and 1 enter with
     order +1, table zeros 1/2 +- i gamma with order -1 each, all in one
     call of _mellin_values.  The bound covers the zeros above the table
-    height plus the sensitivity of the zero sum to the ordinate precision."""
+    height (f.zero_tail, else 1e3 |M f(1/2 + i height)|, which must then
+    be negligible) plus the zero sum's sensitivity to the ordinate
+    precision."""
     gamma = np.asarray(zt.ordinates, dtype=float)
     mv = _mellin_values(f, np.concatenate(([0.0, 1.0], 0.5 + 1j * gamma)))
     WORK["zeros_summed"] = gamma.size
     poles = complex(mv[0] + mv[1])
     zero_sum = 2.0 * float(np.sum(mv[2:].real))
     sens = 2.0 * zt.precision * float(np.sum(np.abs(mv[2:]) * (1.0 + gamma)))
-    bound = _zero_tail_bound(f, zt.height_bound) + sens
+    tail = f.zero_tail(zt.height_bound)
+    if tail is None:
+        tail = 1e3 * abs(mellin(f, 0.5 + 1j * zt.height_bound).value)
+    bound = tail + sens
     if abs(poles.imag) > 1e-10 * max(1.0, abs(poles.real)):
         raise DisagreementError(
             f"spectral side has imaginary residue {poles.imag:.3e}")
     return poles.real, zero_sum, bound
-
-
-def _zero_tail_bound(f, height: float) -> float:
-    """Bound for the neglected zeros above the table height, using the
-    critical-line envelope of |M f| and twice the asymptotic density."""
-    params = f.loggauss_params() if hasattr(f, "loggauss_params") else None
-    if params is None:
-        # Fall back: sample |M f(1/2 + it)| and require it negligible.
-        tail = _mellin_values(f, np.array([0.5 + 1j * height]))
-        return 1e3 * abs(complex(tail[0]))
-    a, mu, sig = params
-    amp = abs(a) * math.sqrt(2.0 * math.pi) * sig \
-        * math.exp(0.5 * mu + 0.125 * sig * sig)
-    expo = -0.5 * sig * sig * height * height
-    if expo < -700.0:
-        return 0.0
-    density = math.log(max(height, 3.0))  # > ln(T/2pi)/2pi, generous
-    return 4.0 * amp * density * math.exp(expo) \
-        * (1.0 / (sig * sig * height) + 1.0)
 
 
 @dataclass(frozen=True)

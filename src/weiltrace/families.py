@@ -28,12 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, WindowError
+from .errors import DomainError, TailBoundError, WindowError
 
 # log_step: steps per unit of f's width in ln x, and the step for an f of
 # unknown width (a step of 1/1024 with two Richardson steps leaves 8e-10
 # in the principal value at LogGaussian(1, 0, 0.012)).
 _LOG_STEPS_PER_SCALE, _MIN_LOG_STEP = 64, 1.0 / 2048
+# Chebyshev's psi(x) < 1.03883 x, x > 0 (Rosser & Schoenfeld, Illinois
+# J. Math. 6, 1962), which bounds the prime powers a prime sum leaves out.
+_PSI_SLOPE = 1.03883
 
 
 class TestFunction:
@@ -55,13 +58,32 @@ class TestFunction:
             raise ValueError(f"{type(self).__name__} parameters must be "
                              f"finite, got {self!r}")
 
-    # Decay metadata used by truncated sums to certify tails.
-    def support(self):
-        """(lo, hi) if compactly supported, else None."""
-        return None
+    # How f decays: each truncated sum or integral over f is certified
+    # from these, and a new family states each of them.
+    def visible(self, eps: float, relative: bool = False):
+        """(lo, hi): the ln x where |f| can reach eps (eps |amplitude|
+        if relative)."""
+        raise NotImplementedError
 
-    def loggauss_params(self):
-        """(a, mu, sigma) if |f| == |a| exp(-(ln x - mu)^2 / 2 sigma^2)."""
+    def lattice_start(self, x: float) -> int:
+        """The first N of operators._term_cap's doubling ladder at x:
+        past the peak of n -> |f(n x)|, so lattice_tail holds above it."""
+        raise NotImplementedError
+
+    def lattice_tail(self, x: float, n_from: int) -> float:
+        """A bound for sum_{n >= n_from} |f(n x)|, n_from > lattice_start(x),
+        non-increasing in t = n_from x and in x (so in n_from and in x)."""
+        raise NotImplementedError
+
+    def prime_tail(self, log_x: float) -> float:
+        """A bound for sum_{n > X} Lambda(n) (|f(n)| + |f(1/n)| / n) over
+        the prime powers n past X = e^log_x, by partial summation
+        against psi(x) < 1.03883 x."""
+        raise NotImplementedError
+
+    def zero_tail(self, height: float):
+        """A bound for sum_{gamma > height} 2 |M f(1/2 + i gamma)| over
+        the zeros 1/2 + i gamma, or None if f states none."""
         return None
 
     def log_scale(self):
@@ -92,8 +114,45 @@ class LogGaussian(TestFunction):
             return self.amplitude * np.exp(
                 -((u - self.center) ** 2) / (2.0 * self.width ** 2))
 
-    def loggauss_params(self):
-        return (self.amplitude, self.center, self.width)
+    def visible(self, eps, relative=False):
+        # mu -+ sigma sqrt(2 ln(|a| / eps))
+        ratio = 1.0 / eps if relative else abs(self.amplitude) / eps
+        radius = self.width * math.sqrt(2.0 * math.log(max(ratio, 1)))
+        return self.center - radius, self.center + radius
+
+    def lattice_start(self, x):
+        lo = max(1, int(math.ceil(math.exp(self.center) / x)))
+        return max(lo + 1, 16)
+
+    def lattice_tail(self, x, n_from):
+        # f(n_from x) + (1/x) int_{n_from x}^inf f, once the summand falls
+        a, mu, sig = abs(self.amplitude), self.center, self.width
+        t0 = n_from * x
+        if math.log(t0) < mu:
+            raise TailBoundError("tail bound needs the decreasing regime")
+        z = (math.log(t0) - mu - sig * sig) / (math.sqrt(2.0) * sig)
+        integral = (a / x) * math.sqrt(2.0 * math.pi) * sig \
+            * math.exp(mu + 0.5 * sig * sig) * 0.5 * math.erfc(z)
+        head = a * math.exp(-0.5 * ((math.log(t0) - mu) / sig) ** 2)
+        return head + integral
+
+    def prime_tail(self, log_x):
+        # h(x) = |f(x)| and |f(1/x)| / x rise to one peak, then fall
+        a, mu, sig = self.amplitude, self.center, self.width
+        return (_psi_tail(a, mu, sig, 0, log_x)
+                + _psi_tail(a, -mu, sig, 1, log_x))
+
+    def zero_tail(self, height):
+        # the critical-line envelope of |M f| against twice the density
+        a, mu, sig = self.amplitude, self.center, self.width
+        amp = abs(a) * math.sqrt(2.0 * math.pi) * sig \
+            * math.exp(0.5 * mu + 0.125 * sig * sig)
+        expo = -0.5 * sig * sig * height * height
+        if expo < -700.0:
+            return 0.0
+        density = math.log(max(height, 3.0))  # > ln(T/2pi)/2pi, generous
+        return 4.0 * amp * density * math.exp(expo) \
+            * (1.0 / (sig * sig * height) + 1.0)
 
     def log_scale(self):
         return self.width
@@ -135,25 +194,36 @@ class LogBump(TestFunction):
                 -self.shape / ((ui - a_log) * (b_log - ui)))
         return out
 
-    def support(self):
-        return (self.lo, self.hi)
+    def visible(self, eps, relative=False):
+        return math.log(self.lo), math.log(self.hi)
+
+    def lattice_start(self, x):
+        # f(n x) = 0 for every n past the support
+        return int(math.floor(self.hi / x))
+
+    def lattice_tail(self, x, n_from):
+        # the n >= n_from with n x < hi, each at most sup|f|
+        count = max(0, math.ceil(self.hi / x) - n_from)
+        return count * abs(self(math.sqrt(self.lo * self.hi)))
+
+    def prime_tail(self, log_x):
+        # sup|f| 1.03883 Y for each of x -> f(x), f(1/x) / x whose
+        # support ends at Y > X
+        ends = [y for y in (self.hi, 1.0 / self.lo) if math.log(y) > log_x]
+        return _PSI_SLOPE * abs(self(math.sqrt(self.lo * self.hi))) \
+            * sum(ends)
 
 
-def visible_interval(f, eps: float, *, relative: bool = False,
-                     ) -> tuple[float, float]:
-    """The ln x where |f| can reach eps (eps times |amplitude| if
-    relative): mu -+ sigma sqrt(2 ln(|a| / eps)) for a log-Gaussian, the
-    log of the support for a log-bump."""
-    params = f.loggauss_params() if hasattr(f, "loggauss_params") else None
-    if params is not None:
-        a, mu, sig = params
-        ratio = 1.0 / eps if relative else abs(a) / eps
-        radius = sig * math.sqrt(2.0 * math.log(max(ratio, 1)))
-        return mu - radius, mu + radius
-    support = f.support() if hasattr(f, "support") else None
-    if support is None:
-        raise TypeError(f"no decay metadata to locate {f!r}")
-    return math.log(support[0]), math.log(support[1])
+def _psi_tail(a: float, c: float, sig: float, k: int, log_x: float):
+    """1.03883 (X' h(X') + int_{X'}^inf h), X' = max(e^log_x, peak of h),
+    for h(x) = |a| x^{-k} exp(-(ln x - c)^2 / 2 sig^2); inf on overflow."""
+    w, s2 = 1 - k, sig * sig
+    lx = max(log_x, c - k * s2)
+    with np.errstate(over="ignore"):
+        return _PSI_SLOPE * abs(a) * float(
+            np.exp(w * lx - (lx - c) ** 2 / (2.0 * s2))
+            + np.exp(w * c + 0.5 * w * s2) * sig * math.sqrt(0.5 * math.pi)
+            * math.erfc((lx - c - w * s2) / (sig * math.sqrt(2.0))))
 
 
 def log_step(f) -> float:
@@ -226,6 +296,29 @@ class ParityFunction:
 
     def at_zero(self) -> complex:
         return sum(c for c, k, _ in self.terms if k == 0)
+
+    def lattice_start(self, x: float) -> int:
+        """As TestFunction.lattice_start: past every term's peak."""
+        peak = max(math.sqrt(max(k, 1) / (2.0 * a * math.pi))
+                   for _, k, a in self.terms)
+        return max(16, int(math.ceil(peak / x)) + 1)
+
+    def lattice_tail(self, x: float, n_from: int) -> float:
+        """As TestFunction.lattice_tail, via the envelope
+        t^k e^{-a pi t^2} <= C_k e^{-a pi t^2 / 2} with
+        C_k = (k / (a pi))^{k/2} e^{-k/2}."""
+        total = 0.0
+        t0 = n_from * x
+        for coeff, k, alpha in self.terms:
+            c_k = 1.0 if k == 0 else (k / (alpha * math.pi)) ** (0.5 * k) \
+                * math.exp(-0.5 * k)
+            half = 0.5 * alpha * math.pi
+            if half * t0 * t0 > 700.0:
+                continue
+            env = c_k * math.exp(-half * t0 * t0)
+            # head term + integral comparison (the envelope falls)
+            total += abs(coeff) * (env + env / (2.0 * half * t0 * x))
+        return total
 
     def dilate(self, t: float) -> "ParityFunction":
         """lambda_t f: x -> f(x / t)."""

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (NonPrimitiveCharacterError, ParityMismatchError,
                      TailBoundError)
-from .families import LogGaussian, ParityFunction, TestFunction
+from .families import ParityFunction, TestFunction
 from .special import _ragged_sum, zeta, zeta_tail
 from .transforms import fourier, mellin
 
@@ -242,74 +242,20 @@ def character(d: int, index: int) -> DirichletCharacter:
 # Truncated lattice sums with certified tails
 # ---------------------------------------------------------------------------
 
-def _loggaussian_tail_bound(f: LogGaussian, x: float, n_from: int) -> float:
-    """Upper bound for sum_{n >= n_from} |f(n x)|, valid once the
-    summand is decreasing, via the integral comparison
-    sum <= f(n_from x) + (1/x) int_{n_from x}^inf f."""
-    a, mu, sig = abs(f.amplitude), f.center, f.width
-    t0 = n_from * x
-    if math.log(t0) < mu:
-        raise TailBoundError("tail bound needs the decreasing regime")
-    z = (math.log(t0) - mu - sig * sig) / (math.sqrt(2.0) * sig)
-    integral = (a / x) * math.sqrt(2.0 * math.pi) * sig \
-        * math.exp(mu + 0.5 * sig * sig) * 0.5 * math.erfc(z)
-    head = a * math.exp(-0.5 * ((math.log(t0) - mu) / sig) ** 2)
-    return head + integral
-
-
-def _parity_tail_bound(f: ParityFunction, x: float, n_from: int) -> float:
-    """Upper bound for sum_{n >= n_from} |f(n x)| when f is a
-    Gaussian-polynomial function, via the envelope
-    t^k e^{-a pi t^2} <= C_k e^{-a pi t^2 / 2} with
-    C_k = (k / (a pi))^{k/2} e^{-k/2}."""
-    total = 0.0
-    t0 = n_from * x
-    for coeff, k, alpha in f.terms:
-        c_k = 1.0 if k == 0 else (k / (alpha * math.pi)) ** (0.5 * k) \
-            * math.exp(-0.5 * k)
-        half = 0.5 * alpha * math.pi
-        if half * t0 * t0 > 700.0:
-            continue
-        env = c_k * math.exp(-half * t0 * t0)
-        # head term + integral comparison (decreasing once past the peak)
-        total += abs(coeff) * (env + env / (2.0 * half * t0 * x))
-    return total
-
-
 def _term_cap(f, x: float, tr: TruncationSpec) -> int:
     """An N with a certified tail bound sum_{n > N} |f(n x)| below
-    tr.tail_tol (TailBoundError when no N <= n_max certifies): floor(sup
-    / x), or the first of a doubling ladder that certifies, not the least.
+    tr.tail_tol (TailBoundError when no N <= n_max certifies).  A family
+    states its tail (lattice_start, lattice_tail): N is the first of the
+    doubling ladder from lattice_start(x) that certifies, not the least.
     The least would halve Z^{-1} Z f's work, but with each tail just
     under tail_tol its worst error on the lattice benchmark's inputs
     (seed 1) rose from 6.4e-15 to 1.5e-12 (residual digits 11.83)."""
     if not (x > 0.0 and math.isfinite(x)):
         raise ValueError("x must be positive and finite")
-    if isinstance(f, ParityFunction):
-        peak = max(math.sqrt(max(k, 1) / (2.0 * a * math.pi))
-                   for _, k, a in f.terms)
-        n = max(16, int(math.ceil(peak / x)) + 1)
+    if isinstance(f, (TestFunction, ParityFunction)):
+        n = f.lattice_start(x)
         while n <= tr.n_max:
-            if _parity_tail_bound(f, x, n + 1) < tr.tail_tol:
-                return n
-            n *= 2
-        raise TailBoundError(
-            f"cannot certify Gaussian-polynomial tail below "
-            f"{tr.tail_tol:.1e} with n_max = {tr.n_max}")
-    sup = f.support() if hasattr(f, "support") else None
-    if sup is not None:
-        n = int(math.floor(sup[1] / x))
-        if n > tr.n_max:
-            raise TailBoundError(
-                f"support reaches n = {n} > n_max = {tr.n_max}")
-        return n
-    params = f.loggauss_params() if hasattr(f, "loggauss_params") else None
-    if params is not None:
-        lg = LogGaussian(*params)
-        lo = max(1, int(math.ceil(math.exp(lg.center) / x)))
-        n = max(lo + 1, 16)
-        while n <= tr.n_max:
-            if _loggaussian_tail_bound(lg, x, n + 1) < tr.tail_tol:
+            if f.lattice_tail(x, n + 1) < tr.tail_tol:
                 return n
             n *= 2
         raise TailBoundError(
@@ -386,9 +332,9 @@ def z_image(f, tr: TruncationSpec | None = None, *,
     N = _term_cap(f, y_min) certifies the tail at the smallest argument,
     and each argument y sums m = 1 .. floor(t_max / y).  Each value is
     still within tail_tol: the first omitted argument at y lies past
-    t_max, hence past (N + 1) y_min, the first one N omits, and the
-    log-Gaussian, Gaussian-polynomial and compact-support tail bounds
-    all decrease in both the first omitted argument and y.  A common
+    t_max, hence past (N + 1) y_min, the first one N omits, and a
+    family's lattice_tail does not grow with the first omitted argument
+    or with y (TestFunction.lattice_tail).  A common
     cutoff also makes Z^{-1} Z f exact up to t_max: sum mu(n) Z f(n x)
     over the image of one call covers every k with k x <= t_max, so the
     truncation errors cancel instead of adding up.  The half step keeps

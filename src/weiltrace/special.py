@@ -368,8 +368,3 @@ def hardy_z_scan(step: float, count: int):
         return z
 
     return _z_from_zeta(t, sums + tail), near
-
-
-def hardy_z_grid(step: float, count: int) -> np.ndarray:
-    """Z at t = np.arange(count) * step: hardy_z_scan's scan values."""
-    return hardy_z_scan(step, count)[0]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WindowError
-from .families import log_step, visible_interval
+from .families import log_step
 from .grids import cinf_step, trapezoid
 from .stages import WORK, stage
 
@@ -197,8 +197,8 @@ def trace_rhs(f0, f1) -> float:
     reflection u -> -u of f1's, widened to the grid: 0.0 when that is
     empty, WindowError when it leaves |u| <= 60 or the integral
     overflows."""
-    lo0, hi0 = visible_interval(f0, _RHS_EPS, relative=True)
-    lo1, hi1 = visible_interval(f1, _RHS_EPS, relative=True)
+    lo0, hi0 = f0.visible(_RHS_EPS, relative=True)
+    lo1, hi1 = f1.visible(_RHS_EPS, relative=True)
     lo, hi = max(lo0, -hi1), min(hi0, -lo1)
     if lo > hi:
         WORK["trace_rhs_points"] = 0

@@ -217,9 +217,10 @@ def test_W_infty_routes_agree_off_centre(mu, sigma):
 def test_pv_route_needs_the_whole_visible_window(monkeypatch, f):
     # negative control: a window of radius 2 sigma leaves out mass the
     # cross-check must miss
-    _, mu, sig = f.loggauss_params()
-    monkeypatch.setattr(explicit, "visible_interval",
-                        lambda g, eps: (mu - 2.0 * sig, mu + 2.0 * sig))
+    mu, sig = f.center, f.width
+    monkeypatch.setattr(LogGaussian, "visible",
+                        lambda g, eps, relative=False: (mu - 2.0 * sig,
+                                                        mu + 2.0 * sig))
     with pytest.raises(DisagreementError):
         W_infty(f)
 

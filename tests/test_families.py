@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weiltrace import (LogBump, LogGaussian, ParityFunction, apply_J,
-                       gaussian_even, gaussian_odd, scale)
+                       find_zeros, gaussian_even, gaussian_odd, scale)
 
 positive = st.floats(min_value=0.05, max_value=20.0)
 
@@ -38,7 +38,7 @@ def test_logbump_support_and_smoothness():
     assert f(1.0) > 0.0
     # vanishing to all orders at the edges: still tiny just inside
     assert f(0.5 * 1.0001) < 1e-300 or f(0.5 * 1.0001) >= 0.0
-    lo, hi = f.support()
+    lo, hi = f.lo, f.hi
     assert (lo, hi) == (0.5, 2.0)
 
 
@@ -87,7 +87,7 @@ def _of_log_grid(f):
     """u in [-40, 40], with the peak and, for a bump, its support edges
     and points just inside and outside them."""
     extra = [f.center, f.center + f.width] if isinstance(f, LogGaussian) \
-        else [e + d for e in map(math.log, f.support())
+        else [e + d for e in map(math.log, (f.lo, f.hi))
               for d in (-1e-3, -1e-12, 0.0, 1e-12, 1e-3)]
     return np.sort(np.concatenate((np.linspace(-40.0, 40.0, 1601), extra)))
 
@@ -105,7 +105,7 @@ def test_of_log_matches_exact_and_call(f):
     # f(x) is of_log(ln x); through x = e^u it also sees ln(e^u) != u,
     # which costs a sigma = 0.008 log-Gaussian about 7e-15 of its peak
     call = f(np.exp(u))
-    slack = 1e-15 if f.loggauss_params() is None or f.width >= 0.15 \
+    slack = 1e-15 if isinstance(f, LogBump) or f.width >= 0.15 \
         else 1e-14
     assert np.max(np.abs(call - got)) <= slack * peak
     # a scalar u gives a scalar, the same value as the array path
@@ -135,7 +135,7 @@ def test_scale_logbump_is_logbump(t):
     f = LogBump(2.0, 0.5, 3.0, 0.7)
     g = scale(f, t)
     assert isinstance(g, LogBump)
-    assert g.support() == pytest.approx((0.5 * t, 3.0 * t), rel=1e-15)
+    assert (g.lo, g.hi) == pytest.approx((0.5 * t, 3.0 * t), rel=1e-15)
     # Near the support edges the exponent -shape / ((u - A)(B - u))
     # amplifies the rounding of ln(t lo) against ln(x / t), hence atol.
     x = t * np.linspace(0.45, 3.2, 57)
@@ -181,3 +181,64 @@ def test_parity_dilate(t, x):
     f = ParityFunction(+1, ((1.0, 2, 1.0), (0.5, 0, 2.0)))
     assert complex(f.dilate(t)(x)) == pytest.approx(
         complex(f(x / t)), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# stated decay: each bound a family states is a bound
+# ---------------------------------------------------------------------------
+
+_LATTICE_FAMILIES = (
+    (LogGaussian(2.0, 0.4, 0.7), math.exp(0.4 + 16 * 0.7)),
+    (LogGaussian(1.0, -1.0, 0.3), math.exp(-1.0 + 16 * 0.3)),
+    (LogBump(3.0, 0.7, 1.5, 0.5), 1.5),
+    (gaussian_even(), 20.0), (gaussian_odd(), 20.0),
+    (ParityFunction(+1, ((1.0, 0, 1.0), (-0.5, 2, 0.7), (0.3j, 4, 2.0))),
+     20.0),
+)
+# each f is below 1e-50 of its peak past its end: the brute-force sums
+# stop there
+_LATTICE_XS = np.exp(np.linspace(math.log(0.05), math.log(20.0), 25))
+
+
+@pytest.mark.parametrize("f, end", _LATTICE_FAMILIES,
+                         ids=("lg", "lg-narrow", "lb", "gauss2", "xgauss2",
+                              "mixed"))
+def test_lattice_tail_bounds_the_brute_force_tail(f, end):
+    # lattice_tail(x, n) >= sum_{m >= n} |f(m x)| at the n of the ladder's
+    # first three probes, and it does not grow with n or with x
+    previous = None
+    for x in _LATTICE_XS:
+        x = float(x)
+        start = f.lattice_start(x)
+        probes = (start + 1, 2 * start + 1, 4 * start + 1)
+        m = np.arange(1, max(probes[-1], math.ceil(end / x)) + 1)
+        # reversed cumulative sum: tails[n - 1] = sum_{m >= n} |f(m x)|
+        tails = np.cumsum(np.abs(f(m * x))[::-1])[::-1]
+        bounds = [f.lattice_tail(x, n) for n in probes]
+        for n, bound in zip(probes, bounds):
+            assert bound >= tails[n - 1]
+        assert bounds[0] >= bounds[1] >= bounds[2]
+        if previous is not None:
+            assert all(f.lattice_tail(x, n) <= bound
+                       for n, bound in zip(*previous))
+        previous = probes, bounds
+
+
+@pytest.fixture(scope="module")
+def zeros120():
+    return find_zeros(120.0)
+
+
+@pytest.mark.parametrize("sigma", [0.08, 0.1, 0.12, 0.15, 0.2])
+@pytest.mark.parametrize("mu", [-1.0, 0.3, 2.0])
+def test_zero_tail_bounds_the_zeros_above_the_height(mu, sigma, zeros120):
+    # zero_tail(60) against the table's zeros 60 < gamma <= 120
+    f = LogGaussian(1.0, mu, sigma)
+    gamma = np.asarray(zeros120.ordinates)
+    above = gamma[gamma > 60.0]
+    want = 2.0 * np.sum(np.abs(f.mellin_closed(0.5 + 1j * above)))
+    assert f.zero_tail(60.0) >= want > 0.0
+
+
+def test_log_bump_states_no_zero_tail():
+    assert LogBump(1.0, 0.5, 2.0).zero_tail(60.0) is None

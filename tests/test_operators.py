@@ -114,6 +114,15 @@ def test_apply_Z_compact_support_past_n_max_raises():
     assert full.real == pytest.approx(8622.195, abs=1e-3)
 
 
+def test_apply_Z_needs_the_stated_lattice_tail(monkeypatch):
+    # negative control: a log-Gaussian that states no tail stops the
+    # ladder at its first rung, and the sum misses more than tail_tol
+    f, tr = LogGaussian(1.0, 0.0, 1.0), TruncationSpec()
+    full = apply_Z(f, 0.5, tr)
+    monkeypatch.setattr(LogGaussian, "lattice_tail", lambda *args: 0.0)
+    assert abs(apply_Z(f, 0.5, tr) - full) > tr.tail_tol
+
+
 def _generic_cap_by_scalar_probes(g, x, tr):
     """_term_cap's generic branch as one call of g per probe point."""
     n = 16
@@ -135,7 +144,7 @@ def _generic_cap_by_scalar_probes(g, x, tr):
 
 
 def test_generic_term_cap_matches_scalar_probes():
-    # Plain callables have no decay metadata, so _term_cap probes them
+    # Plain callables state no decay, so _term_cap probes them
     # on one dyadic ladder; mu = 3 puts the peak past the first probes.
     tr = TruncationSpec(tail_tol=3e-12)
     for f in (LogGaussian(1.0, 0.0, 1.0), LogGaussian(1.0, 3.0, 0.5)):

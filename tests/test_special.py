@@ -12,7 +12,7 @@ from weiltrace import (EULER_GAMMA, ImaginaryResidueError, PoleError,
                        primitive_characters,
                        hardy_z, hurwitz_zeta, l_chi, loggamma,
                        rs_theta, xi, zero_count_estimate, zeta, zeta_tail)
-from weiltrace.special import GRID_BLOCK, hardy_z_grid, hardy_z_scan
+from weiltrace.special import GRID_BLOCK, hardy_z_scan
 
 # Frozen 18-digit oracle values (independent multiprecision evaluation).
 ZETA_ORACLE = {
@@ -286,7 +286,7 @@ def test_hardy_z_grid_matches_hardy_z(count):
     # t = 114), so the two may differ by the sum of their errors; the
     # grid alone is held to 1e-13 against mpmath below.
     want = hardy_z(np.arange(count) * 0.05)
-    got = hardy_z_grid(0.05, count)
+    got = hardy_z_scan(0.05, count)[0]
     assert got.shape == (count,)
     assert np.all(np.abs(got - want) <= 2e-13 * np.maximum(1.0, np.abs(want)))
 
@@ -301,19 +301,19 @@ def test_hardy_z_scan_near_the_grid_against_mpmath():
     got = near(start)(t, np.arange(start.size))
     want = np.array([float(mpmath.siegelz(x)) for x in t])
     assert np.all(np.abs(got - want) <= 2e-14 * np.maximum(1.0, np.abs(want)))
-    assert np.array_equal(values, hardy_z_grid(0.05, 2400))
+    assert np.array_equal(values, hardy_z_scan(0.05, 2400)[0])
 
 
 def test_hardy_z_grid_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
-    got = hardy_z_grid(0.05, 2400)[::10]
+    got = hardy_z_scan(0.05, 2400)[0][::10]
     want = np.array([float(mpmath.siegelz(t))
                      for t in np.arange(2400)[::10] * 0.05])
     assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
 
 def test_hardy_z_grid_height_cap():
-    assert hardy_z_grid(0.05, 2401)[-1] == pytest.approx(hardy_z(120.0),
-                                                         abs=1e-12)
+    assert hardy_z_scan(0.05, 2401)[0][-1] == pytest.approx(
+        hardy_z(120.0), abs=1e-12)
     with pytest.raises(PoleError):
-        hardy_z_grid(0.05, 2402)
+        hardy_z_scan(0.05, 2402)

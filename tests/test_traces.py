@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from weiltrace import (AuxiliaryPhi, LogBump, LogGaussian, LogGridSpec,
                        WindowError, cinf_step, commutator_trace,
                        phi_log_identity, toeplitz_trace_check, trace_rhs)
-from weiltrace.families import visible_interval
 from weiltrace.stages import WORK
 from weiltrace.traces import _lag_weights
 
@@ -120,7 +119,8 @@ def _gaussian_moment(f0, f1):
     # u = ln x: a0 a1 exp(-(u - m0)^2 / 2 v0 - (u + m1)^2 / 2 v1) (-u) is
     # a Gaussian of centre c and width w times -u, so the integral is -c
     # times its mass
-    (a0, m0, s0), (a1, m1, s1) = f0.loggauss_params(), f1.loggauss_params()
+    a0, m0, s0 = f0.amplitude, f0.center, f0.width
+    a1, m1, s1 = f1.amplitude, f1.center, f1.width
     v0, v1 = s0 * s0, s1 * s1
     c = (m0 * v1 - m1 * v0) / (v0 + v1)
     w = math.sqrt(v0 * v1 / (v0 + v1))
@@ -157,8 +157,8 @@ def test_trace_rhs_gaussian_moment(f0, f1):
 ])
 def test_trace_rhs_log_bump(f0, f1):
     # a 2,000,001-point trapezoid over the product's support
-    lo0, hi0 = visible_interval(f0, 1e-20, relative=True)
-    lo1, hi1 = visible_interval(f1, 1e-20, relative=True)
+    lo0, hi0 = f0.visible(1e-20, relative=True)
+    lo1, hi1 = f1.visible(1e-20, relative=True)
     u = np.linspace(max(lo0, -hi1), min(hi0, -lo1), 2000001)
     want = np.trapezoid(f0.of_log(u) * f1.of_log(-u) * (-u), u)
     assert abs(trace_rhs(f0, f1) - want) <= 1e-15

@@ -156,7 +156,7 @@ def test_find_zeros_notices_a_rotated_theta(monkeypatch):
     monkeypatch.setattr(weiltrace.special, "rs_theta",
                         lambda t: rs_theta(t) + 1e-3)
     with pytest.raises(ImaginaryResidueError):
-        weiltrace.special.hardy_z_grid(0.05, 2400)
+        weiltrace.special.hardy_z_scan(0.05, 2400)[0]
     with pytest.raises(ImaginaryResidueError):
         find_zeros(120.0)
 
