@@ -17,8 +17,6 @@ A plain-text config file of ``key = value`` lines may be supplied with
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
 import os
@@ -167,9 +165,7 @@ def _values_command(cfg: dict) -> tuple[dict, bool]:
         v = xi(s)
         return {"xi": v.xi, "zeta": v.zeta,
                 "gamma_factor": v.gamma_factor}, True
-    if cmd == "lchi":
-        return {"value": l_chi(_character(cfg), s)}, True
-    raise ConfigError(f"unknown command {cmd!r}")
+    return {"value": l_chi(_character(cfg), s)}, True      # lchi
 
 
 def _check_command(cfg: dict) -> tuple[dict, bool]:
@@ -215,16 +211,14 @@ def _check_command(cfg: dict) -> tuple[dict, bool]:
         res, scale = toeplitz_trace_check(f0, f1, phi, grid)
         tol *= scale
         return {"residual": res, "tolerance": tol}, res < tol
-    if cmd == "check-phi-identity":
-        phi = AuxiliaryPhi(float(_value(cfg, "phi_width", 1.0)))
-        xs = [float(t) for t in _value(cfg, "x", "0.5,1,2.718281828459045"
-                                    ).split(",")]
-        tol = _tolerance(cfg, 1e-10)
-        residuals = {str(x): phi_log_identity(phi, x) for x in xs}
-        worst = max(residuals.values())
-        return {"residuals": residuals, "max_residual": worst,
-                "tolerance": tol}, worst < tol
-    raise ConfigError(f"unknown command {cmd!r}")
+    phi = AuxiliaryPhi(float(_value(cfg, "phi_width", 1.0)))  # phi-identity
+    xs = [float(t) for t in _value(cfg, "x", "0.5,1,2.718281828459045"
+                                ).split(",")]
+    tol = _tolerance(cfg, 1e-10)
+    residuals = {str(x): phi_log_identity(phi, x) for x in xs}
+    worst = max(residuals.values())
+    return {"residuals": residuals, "max_residual": worst,
+            "tolerance": tol}, worst < tol
 
 
 def _zeros_command(cfg: dict) -> tuple[dict, bool]:
@@ -257,15 +251,48 @@ def _verify_command(cfg: dict) -> tuple[dict, bool]:
     return out, ok
 
 
-_HANDLERS = {
-    "mellin": _values_command, "zeta": _values_command,
-    "xi": _values_command, "lchi": _values_command,
-    "zeros": _zeros_command,
-    "check-poisson": _check_command, "check-zspectral": _check_command,
-    "check-twisted-poisson": _check_command,
-    "check-trace-lemma": _check_command,
-    "check-phi-identity": _check_command,
-    "verify-explicit-formula": _verify_command,
+# The flag table: each flag's type and help (its config key is its name
+# with '_' for '-'), and each command's handler, help and own flags.
+_FLAG_TABLE = {
+    "--f": (str, "function, e.g. 'loggauss(1,0,1)' or gauss2"),
+    "--f0": (str, "test function on (0, inf)"),
+    "--f1": (str, "test function on (0, inf)"),
+    "--s": (str, "point as 're,im' (or 're')"),
+    "--modulus": (int, "modulus d of the Dirichlet character"),
+    "--index": (int, "index of the character in characters(d)"),
+    "--x": (str, "comma list of x > 0"),
+    "--max-height": (float, "height T > 0 of the zero search"),
+    "--table-out": (str, "zero table output path"),
+    "--n": (int, "log-grid points (default 2048)"),
+    "--window": (float, "log-grid half width (default 8)"),
+    "--phi-width": (float, "transition width of phi (default 1)"),
+    "--zeros": (str, "zero table path or auto:T"),
+    "--primes": (int, "prime cut p_max"),
+    "--e-max": (int, "prime-power cut e_max"),
+    "--trunc": (str, "lattice cut 'n_max=..,tail_tol=..'"),
+    "--tol": (str, "tolerance of the residual"),
+    "--config": (str, "plain-text 'key = value' file; flags override it"),
+    "--out": (str, "report output path (default stdout)"),
+    "-v, --verbose": (None, "also print the stage table on stderr"),
+    "-h, --help": (None, "print this help and exit"),
+}   # every command also takes the last four
+_COMMANDS = {
+    "mellin": (_values_command, "Mellin transform of f at s", "--f --s"),
+    "zeta": (_values_command, "Riemann zeta at s", "--s"),
+    "xi": (_values_command, "xi(s), zeta(s) and its gamma factor", "--s"),
+    "lchi": (_values_command, "Dirichlet L(s, chi)", "--modulus --index --s"),
+    "zeros": (_zeros_command, "zeros of zeta", "--max-height --table-out"),
+    "check-poisson": (_check_command, "Poisson summation, f even on R",
+                      "--f --x --trunc --tol"),
+    "check-zspectral": (_check_command, "M(Z f) = zeta M f", "--f --s --tol"),
+    "check-twisted-poisson": (_check_command, "twisted Poisson summation",
+                              "--f --modulus --index --x --trunc --tol"),
+    "check-trace-lemma": (_check_command, "the commutator trace lemma",
+                          "--f0 --f1 --n --window --phi-width --tol"),
+    "check-phi-identity": (_check_command, "phi's log identity at each x",
+                           "--x --phi-width --tol"),
+    "verify-explicit-formula": (_verify_command, "the explicit formula for f",
+                                "--f --zeros --primes --e-max --tol"),
 }
 
 
@@ -275,76 +302,66 @@ def _read_config_file(path: str) -> dict:
     values = {}
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, eq, val = line.partition("=")
-            if not eq:
-                raise ConfigError(
-                    f"{path}:{line_no}: expected 'key = value'")
-            values[key.strip().replace("-", "_")] = val.strip()
+            key, eq, val = line.split("#", 1)[0].partition("=")
+            if eq:
+                values[key.strip().replace("-", "_")] = val.strip()
+            elif key.strip():
+                raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
     return values
 
 
-@functools.lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    """Built once per process; parse_args never changes the parser."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="plain-text key=value config file")
-    common.add_argument("--out", help="report output path (default stdout)")
-    common.add_argument("-v", "--verbose", action="count", default=0)
-    parser = argparse.ArgumentParser(
-        prog="weiltrace", parents=[common],
-        description="Explicit-formula and zeta-operator verification.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, *flags):
-        p = sub.add_parser(name, parents=[common])
-        for flag, kw in flags:
-            p.add_argument(flag, **kw)
-        return p
-
-    s_flag = ("--s", {"help": "point as 're,im'"})
-    f_flag = ("--f", {"help": "function expression"})
-    trunc_flag = ("--trunc", {"help": "n_max=..,tail_tol=.."})
-    add("mellin", f_flag, s_flag)
-    add("zeta", s_flag)
-    add("xi", s_flag)
-    add("lchi", ("--modulus", {"type": int}), ("--index", {"type": int}),
-        s_flag)
-    add("zeros", ("--max-height", {"type": float, "dest": "max_height"}),
-        ("--table-out", {"dest": "table_out",
-                         "help": "zero table output path"}))
-    add("check-poisson", f_flag, ("--x", {"help": "comma list of x"}),
-        trunc_flag, ("--tol", {}))
-    add("check-zspectral", f_flag, s_flag, ("--tol", {}))
-    add("check-twisted-poisson", f_flag, ("--modulus", {"type": int}),
-        ("--index", {"type": int}), ("--x", {}), trunc_flag, ("--tol", {}))
-    add("check-trace-lemma", ("--f0", {}), ("--f1", {}),
-        ("--n", {"type": int}), ("--window", {"type": float}),
-        ("--phi-width", {"type": float, "dest": "phi_width"}),
-        ("--tol", {}))
-    add("check-phi-identity", ("--x", {}),
-        ("--phi-width", {"type": float, "dest": "phi_width"}), ("--tol", {}))
-    add("verify-explicit-formula", f_flag,
-        ("--zeros", {"help": "zero table path or auto:T"}),
-        ("--primes", {"type": int}), ("--e-max", {"type": int,
-                                                  "dest": "e_max"}),
-        ("--tol", {}))
-    return parser
+def _help(command: str | None) -> str:
+    """-h: every command, or the command's flags, with its help."""
+    _, about, flags = _COMMANDS.get(command, (None, "commands", ""))
+    rows = [] if command else [(c, a) for c, (_, a, _) in _COMMANDS.items()]
+    rows += [(flag, _FLAG_TABLE[flag][1])
+             for flag in flags.split() + list(_FLAG_TABLE)[-4:]]
+    width = max(len(name) for name, _ in rows)
+    return (f"usage: weiltrace [flags] {command or 'COMMAND'} [flags]\n\n"
+            f"{about}:" + "".join(f"\n  {k:<{width}}  {v}" for k, v in rows))
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    """Config-file values overridden by the flags that were given."""
-    cfg = {}
-    if args.config:
-        cfg.update(_read_config_file(args.config))
-    if cfg.get("trunc") is not None and "trunc" not in vars(args):
-        raise ConfigError(f"{args.command} takes no trunc")
-    for key, val in vars(args).items():
-        if key == "config":
+def _parse_args(argv) -> dict | str:
+    """argv in one pass against the flag table: the common keys, the
+    command and each key it reads (None unless given; the last one wins),
+    or the help text for -h."""
+    args = {"config": None, "out": None, "verbose": 0, "command": None}
+    flags, tokens = ["--config", "--out"], iter(argv)
+    for tok in tokens:
+        if tok in ("-h", "--help"):
+            return _help(args["command"])
+        if tok == "--verbose" or tok.strip("v") == "-" != tok:  # -v, -vv
+            args["verbose"] += tok.count("v")
             continue
-        if val is not None or key not in cfg:
+        if tok in _COMMANDS and not args["command"]:
+            args["command"], flags = tok, _COMMANDS[tok][2].split() + flags
+            args.update((f[2:].replace("-", "_"), None) for f in flags[:-2])
+            continue
+        name, eq, value = tok.partition("=")
+        match = [name] if name in flags else [
+            f for f in flags if name[:2] == "--" and f.startswith(name)]
+        if len(match) != 1:
+            raise ConfigError(f"ambiguous flag {name!r}: {', '.join(match)}"
+                              if match else f"unknown argument {name!r}")
+        flag, value = match[0], value if eq else next(tokens, "--")
+        if value.startswith("--"):
+            raise ConfigError(f"{flag} expects a value")
+        try:
+            args[flag[2:].replace("-", "_")] = _FLAG_TABLE[flag][0](value)
+        except ValueError:
+            raise ConfigError(f"{flag}: bad value {value!r}") from None
+    if not args["command"]:
+        raise ConfigError("no command; commands: " + ", ".join(_COMMANDS))
+    return args
+
+
+def _merge_config(args: dict) -> dict:
+    """Config-file values overridden by the flags that were given."""
+    cfg = _read_config_file(args["config"]) if args["config"] else {}
+    if cfg.get("trunc") is not None and "trunc" not in args:
+        raise ConfigError(f"{args['command']} takes no trunc")
+    for key, val in args.items():
+        if key != "config" and (val is not None or key not in cfg):
             cfg[key] = val
     return cfg
 
@@ -356,7 +373,7 @@ def run(cfg: dict) -> tuple[int, dict]:
     inputs = {k: v for k, v in cfg.items()
               if k not in ("out", "verbose") and v is not None}
     try:
-        outputs, ok = _HANDLERS[cfg["command"]](cfg)
+        outputs, ok = _COMMANDS[cfg["command"]][0](cfg)
         status = EXIT_OK if ok else EXIT_TOLERANCE
     except (WeiltraceError, ValueError) as exc:
         outputs, ok = {"error": str(exc),
@@ -388,21 +405,18 @@ def _stage_table(report: dict) -> str:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    args, text = {}, None
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0, None) else 0
-    try:
-        cfg = _merge_config(args)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):                       # -h
+            args, text, status = {}, args, EXIT_OK
+        else:
+            status, report = run(_merge_config(args))
     except ConfigError as exc:
         report = {"error": str(exc), "error_type": type(exc).__name__}
         status = EXIT_CONFIG
-    else:
-        status, report = run(cfg)
-    text = json.dumps(report)
-    out = getattr(args, "out", None)
-    verbose = getattr(args, "verbose", 0)
+    text = text or json.dumps(report)
+    out, verbose = args.get("out"), args.get("verbose", 0)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")

@@ -39,6 +39,12 @@ _LOG_STEPS_PER_SCALE, _MIN_LOG_STEP = 64, 1.0 / 2048
 _PSI_SLOPE = 1.03883
 
 
+def _rung(t: float, rounding=math.ceil):
+    """rounding(t), or inf for a t past every float (a subnormal x): a
+    first rung that no n_max reaches, so _term_cap raises TailBoundError."""
+    return rounding(t) if t < math.inf else math.inf
+
+
 class TestFunction:
     """Base class; concrete members are the dataclasses below."""
 
@@ -67,7 +73,8 @@ class TestFunction:
 
     def lattice_start(self, x: float) -> int:
         """The first N of operators._term_cap's doubling ladder at x:
-        past the peak of n -> |f(n x)|, so lattice_tail holds above it."""
+        past the peak of n -> |f(n x)|, so lattice_tail holds above it
+        (math.inf when that N overflows a float)."""
         raise NotImplementedError
 
     def lattice_tail(self, x: float, n_from: int) -> float:
@@ -121,7 +128,9 @@ class LogGaussian(TestFunction):
         return self.center - radius, self.center + radius
 
     def lattice_start(self, x):
-        lo = max(1, int(math.ceil(math.exp(self.center) / x)))
+        # e^mu overflows a float past mu = 709.78
+        peak = math.exp(self.center) if self.center < 709.0 else math.inf
+        lo = max(1, _rung(peak / x))
         return max(lo + 1, 16)
 
     def lattice_tail(self, x, n_from):
@@ -199,7 +208,7 @@ class LogBump(TestFunction):
 
     def lattice_start(self, x):
         # f(n x) = 0 for every n past the support
-        return int(math.floor(self.hi / x))
+        return _rung(self.hi / x, math.floor)
 
     def lattice_tail(self, x, n_from):
         # the n >= n_from with n x < hi, each at most sup|f|
@@ -301,7 +310,7 @@ class ParityFunction:
         """As TestFunction.lattice_start: past every term's peak."""
         peak = max(math.sqrt(max(k, 1) / (2.0 * a * math.pi))
                    for _, k, a in self.terms)
-        return max(16, int(math.ceil(peak / x)) + 1)
+        return max(16, _rung(peak / x) + 1)
 
     def lattice_tail(self, x: float, n_from: int) -> float:
         """As TestFunction.lattice_tail, via the envelope

@@ -9,7 +9,8 @@ import pytest
 
 from weiltrace import (ExpressionError, LogBump, LogGaussian, parse_function,
                        traces)
-from weiltrace.cli import _build_parser, _jsonable, main
+from weiltrace import cli
+from weiltrace.cli import _jsonable, main
 from weiltrace.exprs import _BUILTINS, _CONSTRUCTORS
 
 
@@ -337,8 +338,8 @@ def test_cli_zero_modulus_is_config_error(argv):
     assert "modulus must be a positive integer" in outputs["error"]
 
 
-def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
-    assert _build_parser() is _build_parser()
+def test_cli_parser_keeps_no_state(tmp_path, capsys):
+    # one call's flags, config file or error leave nothing for the next
     out = tmp_path / "r.json"
 
     def call(*argv):
@@ -464,6 +465,15 @@ def test_cli_error_outside_config_checks_gives_full_report(tmp_path):
     assert report["outputs"]["error_type"] == "OrderViolationError"
 
 
+# argv whose first lattice rung overflows a float: a subnormal x ended in
+# an OverflowError traceback (exit 1)
+_TAIL_BOUND = (
+    ("check-poisson", "--f", "gauss2", "--x", "1e-310"),
+    ("check-twisted-poisson", "--f", "xgauss2", "--modulus", "7",
+     "--index", "1", "--x", "1e-310"),
+)
+
+
 @pytest.mark.parametrize("argv", [
     ("mellin", "--f", "loggauss(1,0,4)", "--s", "3"),
     ("check-trace-lemma", "--f0", "loggauss(1,0,0.7)",
@@ -496,12 +506,14 @@ def test_cli_error_outside_config_checks_gives_full_report(tmp_path):
     # overflows at s = 1: the residual was inf, with a warning
     ("verify-explicit-formula", "--f", "loggauss(1e300,20,1)",
      "--zeros", "auto:60", "--primes", "10000"),
+    *_TAIL_BOUND,
 ])
 @pytest.mark.filterwarnings("error")
 def test_cli_window_error_is_certification_failure(tmp_path, capfd, argv):
     status, report = _run(tmp_path, *argv)
     assert status == 3
-    assert report["outputs"]["error_type"] == "WindowError"
+    assert report["outputs"]["error_type"] == (
+        "TailBoundError" if argv in _TAIL_BOUND else "WindowError")
     assert capfd.readouterr().err == ""
 
 
@@ -601,3 +613,181 @@ def test_report_values_are_strict_json(tmp_path):
                           "--f1", "loggauss(1,0.3,0.9)", "--window", "nan")
     assert status == 2
     assert report["inputs"]["window"] == "nan"
+
+
+# ---------------------------------------------------------------------------
+# the flag table and its one-pass parser
+# ---------------------------------------------------------------------------
+
+# (argv, the inputs echo argparse gave): README's examples and one argv of
+# each benchmark workload's shape.  The echo keeps the flag table's key
+# order, --modulus, --index, --n and --primes as ints, --window and
+# --max-height as floats, and every other value as typed.
+_INPUTS_ECHO = [
+    (("zeta", "--s", "2,0"), '{"command": "zeta", "s": "2,0"}'),
+    (("xi", "--s", "0.5,14.134725"),
+     '{"command": "xi", "s": "0.5,14.134725"}'),
+    (("lchi", "--modulus", "4", "--index", "1", "--s", "2,0"),
+     '{"command": "lchi", "modulus": 4, "index": 1, "s": "2,0"}'),
+    (("mellin", "--f", "loggauss(a=1,mu=0,sigma=1)", "--s", "2,3"),
+     '{"command": "mellin", "f": "loggauss(a=1,mu=0,sigma=1)", '
+     '"s": "2,3"}'),
+    (("zeros", "--max-height", "60", "--table-out", "zeros60.txt"),
+     '{"command": "zeros", "max_height": 60.0, '
+     '"table_out": "zeros60.txt"}'),
+    (("check-poisson", "--f", "gauss2"),
+     '{"command": "check-poisson", "f": "gauss2"}'),
+    (("check-zspectral", "--f", "loggauss(1,0,1)", "--s", "2,5"),
+     '{"command": "check-zspectral", "f": "loggauss(1,0,1)", "s": "2,5"}'),
+    (("check-twisted-poisson", "--f", "xgauss2", "--modulus", "4",
+      "--index", "1"),
+     '{"command": "check-twisted-poisson", "f": "xgauss2", "modulus": 4, '
+     '"index": 1}'),
+    (("check-trace-lemma", "--f0", "loggauss(1,0,0.7)",
+      "--f1", "loggauss(1,0.3,0.9)", "--n", "2048", "--window", "8"),
+     '{"command": "check-trace-lemma", "f0": "loggauss(1,0,0.7)", '
+     '"f1": "loggauss(1,0.3,0.9)", "n": 2048, "window": 8.0}'),
+    (("check-phi-identity", "--x", "0.5,1,2.718"),
+     '{"command": "check-phi-identity", "x": "0.5,1,2.718"}'),
+    (("verify-explicit-formula", "--f", "loggauss(1,0,1)",
+      "--zeros", "auto:60", "--primes", "10000"),
+     '{"command": "verify-explicit-formula", "f": "loggauss(1,0,1)", '
+     '"zeros": "auto:60", "primes": 10000}'),
+    # the explicit, trace and lattice workloads
+    (("verify-explicit-formula", "--f", "loggauss(1.0,0.339,0.1811)",
+      "--zeros", "auto:120", "--primes", "10000"),
+     '{"command": "verify-explicit-formula", '
+     '"f": "loggauss(1.0,0.339,0.1811)", "zeros": "auto:120", '
+     '"primes": 10000}'),
+    (("check-trace-lemma", "--f0", "loggauss(1.0,-0.2194,1.0932)",
+      "--f1", "loggauss(1.0,0.1583,0.6785)", "--n", "4096",
+      "--window", "8"),
+     '{"command": "check-trace-lemma", "f0": "loggauss(1.0,-0.2194,1.0932)"'
+     ', "f1": "loggauss(1.0,0.1583,0.6785)", "n": 4096, "window": 8.0}'),
+    (("zeros", "--max-height", "60.733"),
+     '{"command": "zeros", "max_height": 60.733}'),
+    (("lchi", "--modulus", "7", "--index", "5", "--s", "1.7406,-11.6926"),
+     '{"command": "lchi", "modulus": 7, "index": 5, '
+     '"s": "1.7406,-11.6926"}'),
+    (("check-twisted-poisson", "--f", "gauss2", "--modulus", "5",
+      "--index", "2", "--x", "1.1742,1.2432,1.4774"),
+     '{"command": "check-twisted-poisson", "f": "gauss2", "modulus": 5, '
+     '"index": 2, "x": "1.1742,1.2432,1.4774"}'),
+    (("check-zspectral", "--f", "loggauss(1,0,1)", "--s", "3.4718,-16.2456"),
+     '{"command": "check-zspectral", "f": "loggauss(1,0,1)", '
+     '"s": "3.4718,-16.2456"}'),
+    (("check-poisson", "--f", "gauss2",
+      "--x", "0.2579,0.3563,1.8729,3.1086,3.3841"),
+     '{"command": "check-poisson", "f": "gauss2", '
+     '"x": "0.2579,0.3563,1.8729,3.1086,3.3841"}'),
+]
+
+
+@pytest.mark.parametrize("argv, echo", _INPUTS_ECHO,
+                         ids=[" ".join(a[:1]) for a, _ in _INPUTS_ECHO])
+def test_cli_inputs_echo_is_frozen(tmp_path, monkeypatch, argv, echo):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("WEILTRACE_CACHE", str(tmp_path))
+    status, report = _run(tmp_path, *argv)
+    assert status == 0
+    assert json.dumps(report["inputs"]) == echo
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (("zeta", "--s=2,0"), "s", "2,0"),
+    (("zeros", "--max", "30"), "max_height", 30.0),
+    (("zeros", "--max=30"), "max_height", 30.0),
+    (("check-trace-lemma", "--f0", "loggauss(1,0,0.7)", "--f1",
+      "loggauss(1,0.3,0.9)", "--wi", "6", "--n", "8", "--n", "512"),
+     "n", 512),
+    (("zeta", "--s", "2,0", "--s", "3,0"), "s", "3,0"),
+    (("--config", "missing.cfg", "--config", "{cfg}", "zeta"), "s", "3,0"),
+])
+def test_cli_flag_forms(tmp_path, argv, key, value):
+    # --flag=value, a unique prefix, the last of repeated flags, and the
+    # common flags before the command
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("s = 3,0\n")
+    argv = [a.replace("{cfg}", str(cfg)) for a in argv]
+    status, report = _run(tmp_path, *argv)
+    assert status == 0
+    assert report["inputs"][key] == value
+    assert type(report["inputs"][key]) is type(value)
+
+
+@pytest.mark.parametrize("argv", [
+    ("-v", "zeta", "--s", "2,0"), ("-vv", "zeta", "--s", "2,0"),
+    ("zeta", "--verbose", "--s", "2,0"), ("zeta", "--s", "2,0", "-v", "-v"),
+])
+def test_cli_verbose_on_either_side_of_the_command(tmp_path, capsys, argv):
+    out = tmp_path / "r.json"
+    assert main(["--out", str(out), *argv]) == 0
+    streams = capsys.readouterr()
+    assert json.loads(streams.out) == json.loads(out.read_text())
+    assert streams.err.splitlines()[0].split() == ["stage", "seconds"]
+    assert "verbose" not in json.loads(streams.out)["inputs"]
+
+
+def test_cli_negative_point_is_a_value():
+    # argparse read '-1,0' as a flag, and printed usage text
+    proc = _cli_process("zeta", "--s", "-1,0")
+    assert proc.returncode == 0
+    value = json.loads(proc.stdout)["outputs"]["value"]
+    assert abs(value["re"] + 1 / 12) < 1e-12 and value["im"] == 0.0
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("frobnicate", "--s", "2,0"), "'frobnicate'"),
+    ((), "no command"),
+    (("--s", "2,0"), "'--s'"),
+    (("zeta", "--bogus"), "'--bogus'"),
+    (("zeta", "--bogus=1", "--s", "2,0"), "'--bogus'"),
+    (("zeta", "-s", "2,0"), "'-s'"),
+    (("zeta", "--s", "2,0", "xi"), "'xi'"),
+    (("check-trace-lemma", "--f", "loggauss(1,0,1)"), "'--f'"),
+    (("zeta", "--s"), "--s"),
+    (("zeta", "--s", "--out", "r.json"), "--s"),
+    (("check-trace-lemma", "--f0", "loggauss(1,0,1)", "--n", "abc"), "--n"),
+    (("lchi", "--modulus", "4.0", "--index", "1", "--s", "2"), "--modulus"),
+    (("zeros", "--max-height", "high"), "--max-height"),
+])
+def test_cli_parse_error_is_a_config_error_report(capsys, argv, named):
+    # exit 2 with one JSON report on stdout, the shape of a config-file
+    # error, naming the argument; argparse printed usage text on stderr
+    assert main(list(argv)) == 2
+    streams = capsys.readouterr()
+    report = json.loads(streams.out, parse_constant=_strict_constant)
+    assert list(report) == ["error", "error_type"]
+    assert report["error_type"] == "ConfigError"
+    assert named in report["error"]
+    assert streams.err == ""
+
+
+def test_cli_parse_error_exits_2_from_the_console():
+    proc = _cli_process("zeta", "--bogus")
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error_type"] == "ConfigError"
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("argv", [("-h",), ("--help",), ("-v", "-h", "zeta")])
+def test_cli_help_lists_every_command(capsys, argv):
+    assert main(list(argv)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for command, (_, about, _) in cli._COMMANDS.items():
+        assert any(line.split() == [command, *about.split()]
+                   for line in lines)
+    for flag in ("--config", "--out", "--verbose", "--help"):
+        assert any(flag in line for line in lines)
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_cli_command_help_lists_every_flag(capsys, command):
+    assert main([command, "-h"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    flags = cli._COMMANDS[command][2].split()
+    flags += ["--config", "--out", "-v, --verbose", "-h, --help"]
+    for flag in flags:
+        about = cli._FLAG_TABLE[flag][1]
+        assert any(line.strip().startswith(flag) and line.endswith(about)
+                   for line in lines), flag

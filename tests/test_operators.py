@@ -114,6 +114,20 @@ def test_apply_Z_compact_support_past_n_max_raises():
     assert full.real == pytest.approx(8622.195, abs=1e-3)
 
 
+@pytest.mark.parametrize("f, x", [
+    (LogGaussian(1.0, 0.0, 1.0), 1e-310),
+    (LogBump(1.0, 0.5, 2.0, 1.0), 1e-310),
+    (gaussian_even(), 1e-310), (gaussian_odd(), 5e-324),
+    # e^800 overflows a float before x divides it
+    (LogGaussian(1.0, 800.0, 1.0), 1.0),
+])
+def test_apply_Z_first_rung_past_every_float_raises(f, x):
+    # the first rung peak / x overflows: it was int(ceil(inf)), an
+    # OverflowError; no n_max reaches it, so the tail cannot certify
+    with pytest.raises(TailBoundError):
+        apply_Z(f, x)
+
+
 def test_apply_Z_needs_the_stated_lattice_tail(monkeypatch):
     # negative control: a log-Gaussian that states no tail stops the
     # ladder at its first rung, and the sum misses more than tail_tol
