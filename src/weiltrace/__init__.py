@@ -12,7 +12,7 @@ from .errors import (BudgetExceededError, CountMismatchError,
                      NonPrimitiveCharacterError, OrderViolationError,
                      ParityMismatchError, PoleError, TableParseError,
                      WindowError)
-from .families import (LogBump, LogGaussian, ParityFunction, apply_J,
+from .families import (LogGaussian, LogSpline, ParityFunction, apply_J,
                        gaussian_even, gaussian_odd, scale)
 from .grids import QuadratureSpec, cinf_step
 from .transforms import (fourier, haar_real_cross, mellin, mellin_parity,

@@ -34,7 +34,7 @@ from .special import l_chi, xi, zeta
 from .traces import AuxiliaryPhi, LogGridSpec, phi_log_identity, \
     toeplitz_trace_check
 from .transforms import mellin, mellin_parity
-from .families import ParityFunction
+from .families import ParityFunction, TestFunction
 from .zeros import find_zeros, load_zeros, save_zeros
 
 __all__ = ["main", "run"]
@@ -96,13 +96,15 @@ def _required(cfg: dict, key: str):
     return value
 
 
-def _parse_half_line_function(cfg: dict, key: str):
-    """A test function on (0, inf); a function on R is a config error."""
+def _parse_function_on(cfg: dict, key: str, family: type):
+    """The function under key; one outside family (TestFunction, on
+    (0, inf), or ParityFunction, on R) is a config error."""
     text = _required(cfg, key)
     f = parse_function(text)
-    if isinstance(f, ParityFunction):
+    if not isinstance(f, family):
+        line = "(0, inf)" if family is TestFunction else "R"
         raise ConfigError(f"{cfg['command']} needs a test function on "
-                          f"(0, inf); {text!r} is a function on R")
+                          f"{line}; {text!r} is not one")
     return f
 
 
@@ -146,7 +148,7 @@ def _resolve_zeros(source: str, out_path: str | None):
         os.makedirs(cache_dir, exist_ok=True)
         save_zeros(table, cache)
         return table, cache
-    if not os.path.exists(source):
+    if not os.path.isfile(source):
         raise ConfigError(f"zero file not found: {source}")
     return load_zeros(source), source
 
@@ -172,7 +174,7 @@ def _check_command(cfg: dict) -> tuple[dict, bool]:
     cmd = cfg["command"]
     if cmd == "check-poisson":
         tr = _parse_trunc(cfg.get("trunc"))
-        f = parse_function(_required(cfg, "f"))
+        f = _parse_function_on(cfg, "f", ParityFunction)
         xs = [float(t) for t in _value(cfg, "x", "0.25,0.5,1,2,4").split(",")]
         tol = _tolerance(cfg, 1e-10)
         residuals = dict(zip(map(str, xs),
@@ -181,13 +183,13 @@ def _check_command(cfg: dict) -> tuple[dict, bool]:
         return {"residuals": residuals, "max_residual": worst,
                 "tolerance": tol}, worst < tol
     if cmd == "check-zspectral":
-        f = parse_function(_required(cfg, "f"))
+        f = _parse_function_on(cfg, "f", TestFunction)
         s = _parse_complex(_value(cfg, "s", "2,0"))
         tol = _tolerance(cfg, 1e-8)
         res = zspectral_check(f, s)
         return {"residual": res, "tolerance": tol}, res < tol
     if cmd == "check-twisted-poisson":
-        f = parse_function(_required(cfg, "f"))
+        f = _parse_function_on(cfg, "f", ParityFunction)
         chi = _character(cfg)
         tr = _parse_trunc(cfg.get("trunc"))
         xs = [float(t) for t in _value(cfg, "x", "0.5,1,2").split(",")]
@@ -202,8 +204,8 @@ def _check_command(cfg: dict) -> tuple[dict, bool]:
                 "max_residual": worst, "kappa_modulus_defect": kappa_defect,
                 "tolerance": tol}, ok
     if cmd == "check-trace-lemma":
-        f0 = _parse_half_line_function(cfg, "f0")
-        f1 = _parse_half_line_function(cfg, "f1")
+        f0 = _parse_function_on(cfg, "f0", TestFunction)
+        f1 = _parse_function_on(cfg, "f1", TestFunction)
         phi = AuxiliaryPhi(float(_value(cfg, "phi_width", 1.0)))
         grid = LogGridSpec(n_points=int(_value(cfg, "n", 2048)),
                            half_width=float(_value(cfg, "window", 8.0)))
@@ -228,7 +230,11 @@ def _zeros_command(cfg: dict) -> tuple[dict, bool]:
     table = find_zeros(height)
     out = cfg.get("table_out")
     if out:
-        save_zeros(table, out)
+        try:
+            save_zeros(table, out)
+        except OSError as exc:
+            raise ConfigError(f"cannot write the zero table {out}: "
+                              f"{exc.strerror}") from None
     return {"count": len(table.ordinates),
             "ordinates": list(table.ordinates),
             "precision": table.precision,
@@ -236,7 +242,7 @@ def _zeros_command(cfg: dict) -> tuple[dict, bool]:
 
 
 def _verify_command(cfg: dict) -> tuple[dict, bool]:
-    f = _parse_half_line_function(cfg, "f")
+    f = _parse_function_on(cfg, "f", TestFunction)
     tol = _tolerance(cfg, 1e-4)
     table, table_path = _resolve_zeros(_required(cfg, "zeros"),
                                        cfg.get("out"))

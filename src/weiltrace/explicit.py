@@ -14,10 +14,8 @@ W_inf is computed by two genuinely different routes:
   * Weil's digamma form (primary),
         W_inf(f) = (1/pi) integral_0^inf Re (M f)(1/2 + i r)
                    (ln pi - Re digamma(1/4 + i r/2)) dr,
-    with the Mellin transform on the critical line taken from f's
-    closed form where it has one, on the heights where it is visible,
-    and else from one FFT of the log-grid samples (A. Weil, 1952;
-    E. Bombieri, 2000);
+    with f's closed-form Mellin transform where it is visible and f's
+    archimedean_tail above (A. Weil, 1952; E. Bombieri, 2000);
   * the duality pairing -<F(ln|x|), psi> with psi(y) = f(|1-y|), where
     F(ln|x|) = -(1/2)|y|^{-1}_reg - (gamma + ln 2 pi) delta is written in
     closed form: the symmetric-cut principal value of
@@ -42,8 +40,7 @@ from .grids import QuadratureSpec, trapezoid, trapezoid_with_coarse
 from .operators import TruncationSpec, primes_up_to
 from .special import EULER_GAMMA, digamma
 from .stages import WORK, stage
-from .transforms import (_critical_heights, _window_samples, mellin,
-                         mellin_critical_line)
+from .transforms import _window_samples
 from .zeros import ZeroTable
 
 # The principal value's |ln x| edge; the largest route disagreement.
@@ -57,13 +54,6 @@ _LOG_MAX_POWER = 308.0 * math.log(10.0)
 # The prime side leaves out powers where |f| < _PRIME_EPS; f's prime_tail
 # bounds them.
 _PRIME_EPS = 1e-20
-
-
-def _mellin_values(f, s: np.ndarray) -> np.ndarray:
-    """(M f)(s) on an array s: one closed-form call, else quadratures."""
-    closed = f.mellin_closed(s)
-    return (np.array([mellin(f, z).value for z in s]) if closed is None
-            else closed)
 
 
 def _prime_cut(f, tr: TruncationSpec) -> tuple[float, float]:
@@ -122,7 +112,7 @@ def pv_regularised(f) -> float:
     being the smaller |end|, and the grid starts at the last grid point
     at or below U_lo.  The grid is u = k h, n points with n - 1 a
     multiple of 8, and h from log_step (1/64 for a log-Gaussian of width
-    1, 1/2048 for a log-bump); the trapezoid on its 1-, 2-, 4- and
+    1, 1/512 for a log-spline of order 8 on [1/2, 2]); the trapezoid on its 1-, 2-, 4- and
     8-spaced subgrids with three Richardson steps removes the h^2, h^4
     and h^6 terms at u = 0."""
     lo, hi = np.clip(f.visible(_PRIME_EPS), -_PV_EDGE, _PV_EDGE)
@@ -151,20 +141,16 @@ def archimedean_constant() -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def _archimedean_weight(n_points: int,
-                        ) -> tuple[np.ndarray, np.ndarray, float]:
-    """(r, w, integral of |w| dr) on the heights r of
-    ``mellin_critical_line`` for an n-point QuadratureSpec() grid, with
-    w(r) = ln pi - Re digamma(1/4 + i r/2).
-
-    w depends only on the grid, so it is built once per size; the
-    doubling ladder of ``mellin_critical_line`` has five sizes (4001 ..
-    64001), which bounds the cache.  r and w are read-only."""
+def _archimedean_weight(n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """(r, w) at r_k = pi k / ((n - 1) h), k < n, for the step h of an
+    n-point QuadratureSpec() grid (so r runs up to pi / h), and
+    w(r) = ln pi - Re digamma(1/4 + i r/2); built once for each of
+    _critical_line's five sizes (4001 .. 64001), read-only."""
     _, h = QuadratureSpec(n_points=n_points).u_grid()
-    r = _critical_heights(n_points, h)
+    r = np.arange(n_points) * (2.0 * math.pi / (2 * (n_points - 1) * h))
     weight = math.log(math.pi) - digamma(0.25 + 0.5j * r).real
     r.flags.writeable = weight.flags.writeable = False
-    return r, weight, float(trapezoid(np.abs(weight), r[1]))
+    return r, weight
 
 
 def _last_visible(values: np.ndarray) -> int:
@@ -174,26 +160,20 @@ def _last_visible(values: np.ndarray) -> int:
     return int(np.flatnonzero(~(mag < _MELLIN_CUT * mag.max()))[-1])
 
 
-def _closed_critical_line(f):
-    """(r, w, (M f)(1/2 + i r)) from f's closed-form Mellin transform on
-    the leading odd-length slice of _archimedean_weight(n)'s heights that
-    ends just past the last height where |M f| reaches 1e-18 of its
-    peak, or None if f has no closed form.  126 probes, every
-    (n - 1)/125-th height, place that height between two probes, and n
-    climbs mellin_critical_line's doubling ladder (4001 .. 64001) while
-    the last probe reaches it.  The samples on QuadratureSpec()'s grid
-    are checked first, so f raises the WindowError that the FFT would,
-    before a closed form can overflow."""
+def _critical_line(f):
+    """(r, w, (M f)(1/2 + i r)) on the leading odd-length slice of
+    _archimedean_weight(n)'s heights that ends just past the last one
+    where |M f| reaches 1e-18 of its peak.  126 probes, every
+    (n - 1)/125-th height, bracket that height, and n doubles (4001 ..
+    64001) while the last probe reaches it.  An f with no mass on
+    QuadratureSpec()'s grid raises WindowError first."""
     _window_samples(f, 0.5, QuadratureSpec())
     n = QuadratureSpec().n_points
     while True:
-        r, weight, _ = _archimedean_weight(n)
+        r, weight = _archimedean_weight(n)
         # n - 1 = 4000 2^j, so the probes end on the last height
         stride = (n - 1) // 125
-        probes = f.mellin_closed(0.5 + 1j * r[::stride])
-        if probes is None:
-            return None
-        seen = _last_visible(probes)
+        seen = _last_visible(f.mellin_closed(0.5 + 1j * r[::stride]))
         if seen < 125 or n == _MAX_GRID:
             break
         n = 2 * n - 1
@@ -208,28 +188,17 @@ def W_infty(f) -> tuple[float, float, float]:
     the principal-value route.
 
     Returns (value, quadrature_error_estimate, route_disagreement) as
-    floats.  M f(1/2 + i r) comes from f's closed form where it has one
-    (_closed_critical_line), else from the FFT of mellin_critical_line.
-    The estimate is the change of the r-integral over every other
-    sample, plus |integrand(r_max)| r_max / pi for the heights above the
-    last height r_max, plus, for the FFT, the Mellin values' truncation
-    bound integrated against |weight|.  Raises DisagreementError when
-    the routes differ by more than _CROSS_CHECK_TOL (scaled by |value|).
-    """
-    closed = _closed_critical_line(f)
-    if closed is None:
-        _, mf, trunc = mellin_critical_line(f)
-        r, weight, weight_l1 = _archimedean_weight(mf.size)
-        trunc *= weight_l1
-    else:
-        r, weight, mf = closed
-        trunc = 0.0
-        WORK["mellin_heights"] = r.size
-    integrand = mf.real * weight
-    fine, coarse = trapezoid_with_coarse(integrand, r[1])
+    floats, on _critical_line's heights.  The estimate is the change of
+    the r-integral over every other sample plus f.archimedean_tail(r_max)
+    for the heights above the last one, r_max.  Raises DisagreementError
+    when the routes differ by more than _CROSS_CHECK_TOL (scaled by
+    |value|)."""
+    r, weight, mf = _critical_line(f)
+    WORK["mellin_heights"] = r.size
+    fine, coarse = trapezoid_with_coarse(mf.real * weight, r[1])
     value = float(fine) / math.pi
-    est = (abs(float(fine) - float(coarse))
-           + abs(float(integrand[-1])) * float(r[-1]) + trunc) / math.pi
+    est = (abs(float(fine) - float(coarse)) / math.pi
+           + f.archimedean_tail(float(r[-1])))
     secondary = 0.5 * pv_regularised(f) + archimedean_constant() * f(1.0)
     disagreement = abs(value - secondary)
     if disagreement > _CROSS_CHECK_TOL * max(1.0, abs(value)):
@@ -243,20 +212,16 @@ def spectral_parts(f, zt: ZeroTable) -> tuple[float, float, float]:
     """(pole_contribution, zero_contribution, certified_bound) of the
     spectral side: poles of the completed zeta at 0 and 1 enter with
     order +1, table zeros 1/2 +- i gamma with order -1 each, all in one
-    call of _mellin_values.  The bound covers the zeros above the table
-    height (f.zero_tail, else 1e3 |M f(1/2 + i height)|, which must then
-    be negligible) plus the zero sum's sensitivity to the ordinate
-    precision."""
+    call of f's closed-form Mellin transform.  The bound covers the
+    zeros above the table height (f.zero_tail) plus the zero sum's
+    sensitivity to the ordinate precision."""
     gamma = np.asarray(zt.ordinates, dtype=float)
-    mv = _mellin_values(f, np.concatenate(([0.0, 1.0], 0.5 + 1j * gamma)))
+    mv = f.mellin_closed(np.concatenate(([0.0, 1.0], 0.5 + 1j * gamma)))
     WORK["zeros_summed"] = gamma.size
     poles = complex(mv[0] + mv[1])
     zero_sum = 2.0 * float(np.sum(mv[2:].real))
     sens = 2.0 * zt.precision * float(np.sum(np.abs(mv[2:]) * (1.0 + gamma)))
-    tail = f.zero_tail(zt.height_bound)
-    if tail is None:
-        tail = 1e3 * abs(mellin(f, 0.5 + 1j * zt.height_bound).value)
-    bound = tail + sens
+    bound = f.zero_tail(zt.height_bound) + sens
     if abs(poles.imag) > 1e-10 * max(1.0, abs(poles.real)):
         raise DisagreementError(
             f"spectral side has imaginary residue {poles.imag:.3e}")

@@ -4,7 +4,7 @@ Grammar: a single constructor call with positional and/or keyword
 numeric arguments, or a bare builtin name::
 
     loggauss(a=1, mu=0, sigma=1)
-    logbump(a=1, lo=0.5, hi=2, shape=1)
+    logspline(a=1, lo=0.5, hi=2, order=8)
     gauss2            # 2 exp(-pi x^2), the Fourier fixed point
     xgauss2           # 2 x exp(-pi x^2)
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 import ast
 
 from .errors import ExpressionError
-from .families import LogBump, LogGaussian, gaussian_even, gaussian_odd
+from .families import LogGaussian, LogSpline, gaussian_even, gaussian_odd
 
 __all__ = ["parse_function"]
 
@@ -31,9 +31,9 @@ _CONSTRUCTORS = {
     "loggauss": (("a", "mu", "sigma"),
                  lambda a=1.0, mu=0.0, sigma=1.0:
                  LogGaussian(amplitude=a, center=mu, width=sigma)),
-    "logbump": (("a", "lo", "hi", "shape"),
-                lambda a=1.0, lo=0.5, hi=2.0, shape=1.0:
-                LogBump(amplitude=a, lo=lo, hi=hi, shape=shape)),
+    "logspline": (("a", "lo", "hi", "order"),
+                  lambda a=1.0, lo=0.5, hi=2.0, order=8:
+                  LogSpline(amplitude=a, lo=lo, hi=hi, order=order)),
 }
 
 

@@ -2,11 +2,12 @@
 
 Two families:
 
-* ``TestFunction`` -- smooth functions on (0, inf) with rapid decay at both
-  ends in log coordinates: log-Gaussians and compactly supported
-  log-bumps.  The scaling (lambda_t f)(x) = f(x/t) maps each family to
-  itself, and the involution J f(x) = x^{-1} f(x^{-1}) maps log-Gaussians
-  to log-Gaussians, so the operator identities are checked without
+* ``TestFunction`` -- functions on (0, inf) that decay at both ends in
+  log coordinates, each with a closed-form Mellin transform:
+  log-Gaussians and compactly supported log-B-splines.  The scaling
+  (lambda_t f)(x) = f(x/t) maps each family to itself, and the
+  involution J f(x) = x^{-1} f(x^{-1}) maps log-Gaussians to
+  log-Gaussians, so the operator identities are checked without
   interpolation error.
 
 * ``ParityFunction`` -- even or odd Schwartz functions on R of the form
@@ -30,13 +31,17 @@ import numpy as np
 
 from .errors import DomainError, TailBoundError, WindowError
 
-# log_step: steps per unit of f's width in ln x, and the step for an f of
-# unknown width (a step of 1/1024 with two Richardson steps leaves 8e-10
-# in the principal value at LogGaussian(1, 0, 0.012)).
+# log_step: steps per unit of f's width in ln x, and the smallest step (a
+# step of 1/1024 with two Richardson steps leaves 8e-10 in the principal
+# value at LogGaussian(1, 0, 0.012)).
 _LOG_STEPS_PER_SCALE, _MIN_LOG_STEP = 64, 1.0 / 2048
 # Chebyshev's psi(x) < 1.03883 x, x > 0 (Rosser & Schoenfeld, Illinois
 # J. Math. 6, 1962), which bounds the prime powers a prime sum leaves out.
 _PSI_SLOPE = 1.03883
+# W_inf's weight w(r) = ln pi - Re digamma(1/4 + i r/2) has |w(r)| <=
+# ln r + 2.2 / r, r > 0: r (|w| - ln r) peaks at 2.10 near r = 0.73, and
+# |w(r)| -> ln(r / 2 pi) as r grows.
+_WEIGHT_SLACK = 2.2
 
 
 def _rung(t: float, rounding=math.ceil):
@@ -88,18 +93,24 @@ class TestFunction:
         against psi(x) < 1.03883 x."""
         raise NotImplementedError
 
-    def zero_tail(self, height: float):
+    def zero_tail(self, height: float) -> float:
         """A bound for sum_{gamma > height} 2 |M f(1/2 + i gamma)| over
-        the zeros 1/2 + i gamma, or None if f states none."""
-        return None
+        the zeros 1/2 + i gamma."""
+        raise NotImplementedError
 
-    def log_scale(self):
-        """The width in u = ln x over which f varies, or None if unknown."""
-        return None
+    def archimedean_tail(self, height: float) -> float:
+        """A bound for (1/pi) int_{height}^inf |M f(1/2 + i r)| |w(r)| dr,
+        W_inf's heights above height, with |w(r)| <= ln r + 2.2 / r."""
+        raise NotImplementedError
+
+    def log_scale(self) -> float:
+        """The width in u = ln x over which f varies."""
+        raise NotImplementedError
 
     def mellin_closed(self, s: complex):
-        """Closed-form Mellin transform, or None if unavailable."""
-        return None
+        """(M f)(s) in closed form, elementwise on an array s;
+        WindowError when it overflows."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -110,9 +121,10 @@ class LogGaussian(TestFunction):
 
     def __post_init__(self):
         self._require_finite()
-        # 2 sigma^2 divides every exponent: it must not underflow to 0.
-        if not (self.width > 0 and self.width ** 2 > 0):
-            raise ValueError("width must be positive, with width^2 > 0")
+        # 2 sigma^2 divides every exponent: it must neither underflow to
+        # 0 nor overflow.
+        if not (self.width > 0 and 0 < self.width * self.width < math.inf):
+            raise ValueError("width must be positive, with 0 < width^2 < inf")
 
     def of_log(self, u):
         # Below a width of about 1e-150 the exponent overflows to -inf,
@@ -163,6 +175,16 @@ class LogGaussian(TestFunction):
         return 4.0 * amp * density * math.exp(expo) \
             * (1.0 / (sig * sig * height) + 1.0)
 
+    def archimedean_tail(self, height):
+        # int_R^inf e^{-sig^2 r^2 / 2} dr <= e^{-sig^2 R^2 / 2} / (sig^2 R),
+        # and ln r <= ln R + (r - R) / R
+        mu, s2, r = self.center, self.width ** 2, height
+        expo = 0.5 * mu + 0.125 * s2 - 0.5 * s2 * r * r
+        amp = abs(self.amplitude) * math.sqrt(2.0 * math.pi) * self.width \
+            * math.exp(max(expo, -745.0))
+        return amp / (s2 * r * math.pi) \
+            * (max(math.log(r), 0.0) + 1.0 + _WEIGHT_SLACK / r)
+
     def log_scale(self):
         return self.width
 
@@ -177,31 +199,56 @@ class LogGaussian(TestFunction):
 
 
 @dataclass(frozen=True)
-class LogBump(TestFunction):
-    """a * exp(-shape / ((u - A)(B - u))) on A < u < B, zero outside."""
+class LogSpline(TestFunction):
+    """a B_K((u - c) / h) in u = ln x: the centred cardinal B-spline of
+    order K (degree K - 1, C^{K-2}, unit integral) on K knot intervals
+    of width h = ln(hi / lo) / K around c = ln(lo hi) / 2, zero outside
+    [ln lo, ln hi].  So M f(s) = a h e^{sc} (sinh(sh/2) / (sh/2))^K, and
+    |sinh z| <= cosh(Re z) gives its critical-line envelope
+        |M f(1/2 + it)| <= |a| h e^{c/2} (2 cosh(h/4) / (h |s|))^K."""
 
     amplitude: float
     lo: float
     hi: float
-    shape: float = 1.0
+    order: int = 8
 
     def __post_init__(self):
         self._require_finite()
-        if not (0.0 < self.lo < self.hi):
-            raise ValueError("need 0 < lo < hi")
-        if not self.shape > 0:
-            raise ValueError("shape must be positive")
+        if not (0.0 < self.lo < self.hi and self.order == int(self.order)
+                and 3 <= self.order <= 12):
+            raise ValueError(f"need 0 < lo < hi and an integer order from "
+                             f"3 to 12, got {self!r}")
+        object.__setattr__(self, "order", int(self.order))
+        if not self.log_scale() > 0.0:
+            raise ValueError("need ln lo < ln hi")
+
+    def _centre(self) -> float:
+        return 0.5 * (math.log(self.lo) + math.log(self.hi))
+
+    def _envelope(self, height: float) -> float:
+        """The envelope's bound on |M f(1/2 + it)| for t >= height."""
+        h = self.log_scale()
+        return abs(self.amplitude) * h * math.exp(0.5 * self._centre()) \
+            * (2.0 * math.cosh(0.25 * h) / (h * height)) ** self.order
 
     def of_log(self, u):
-        a_log, b_log = math.log(self.lo), math.log(self.hi)
-        u = np.asarray(u, dtype=float)
-        out = np.zeros_like(u)
-        inside = (u > a_log) & (u < b_log)
-        ui = u[inside]
-        with np.errstate(over="ignore"):
-            out[inside] = self.amplitude * np.exp(
-                -self.shape / ((ui - a_log) * (b_log - ui)))
-        return out
+        # de Boor: b[i] = (r - 1)! B_r(tau + i) on the unit knots, x = m + tau
+        # knots in from the nearer end, sums nonnegative terms (5.8e-16 of
+        # the peak at K <= 12; truncated powers cancel to 6.6e-15)
+        k, u = self.order, np.asarray(u, dtype=float)
+        x = np.atleast_1d(0.5 * k - np.abs((u - self._centre())
+                                           / self.log_scale()))
+        m = np.clip(np.floor(x), 0, k - 1).astype(int)
+        tau, b = x - m, [np.ones_like(x)]
+        for r in range(2, k + 1):
+            b = [0.0, *b, 0.0]
+            b = [(tau + i) * b[i + 1] + (r - tau - i) * b[i]
+                 for i in range(r)]
+        out = np.where(x > 0.0, np.choose(m, b), 0.0)
+        return (self.amplitude / math.factorial(k - 1) * out).reshape(u.shape)
+
+    def _peak(self) -> float:
+        return abs(float(self.of_log(self._centre())))
 
     def visible(self, eps, relative=False):
         return math.log(self.lo), math.log(self.hi)
@@ -212,15 +259,47 @@ class LogBump(TestFunction):
 
     def lattice_tail(self, x, n_from):
         # the n >= n_from with n x < hi, each at most sup|f|
-        count = max(0, math.ceil(self.hi / x) - n_from)
-        return count * abs(self(math.sqrt(self.lo * self.hi)))
+        return max(0, math.ceil(self.hi / x) - n_from) * self._peak()
 
     def prime_tail(self, log_x):
         # sup|f| 1.03883 Y for each of x -> f(x), f(1/x) / x whose
         # support ends at Y > X
         ends = [y for y in (self.hi, 1.0 / self.lo) if math.log(y) > log_x]
-        return _PSI_SLOPE * abs(self(math.sqrt(self.lo * self.hi))) \
-            * sum(ends)
+        return _PSI_SLOPE * self._peak() * sum(ends)
+
+    def zero_tail(self, height):
+        # E(r) = E(T) (T / r)^K over the zeros above T >= 14 (N(14) = 0),
+        # by parts against N(r) = (r / 2 pi) ln(r / 2 pi e) + 7/8 + S + O,
+        # |S + O| <= B(r) = 0.112 ln r + 0.278 ln ln r + 2.52 (Trudgian,
+        # J. Number Theory 134, 2014):
+        # int E ln(r / 2 pi) / 2 pi + 2 E(T) B(T) + int E B'
+        k, t = self.order, max(height, 14.0)
+        e_t = self._envelope(t)
+        i0 = e_t * t / (k - 1)                      # int_T^inf E dr
+        i1 = i0 * (math.log(t) + 1.0 / (k - 1))     # int_T^inf E ln r dr
+        b_t = 0.112 * math.log(t) + 0.278 * math.log(math.log(t)) + 2.52
+        return 2.0 * ((i1 - math.log(2.0 * math.pi) * i0) / (2.0 * math.pi)
+                      + 2.0 * e_t * b_t
+                      + (0.112 + 0.278 / math.log(t)) * i0 / t)
+
+    def archimedean_tail(self, height):
+        # (1/pi) int_R^inf E(R) (R / r)^K (ln r + 2.2 / r) dr
+        k, r = self.order, height
+        return self._envelope(r) / math.pi * (
+            r * (math.log(r) + 1.0 / (k - 1)) / (k - 1) + _WEIGHT_SLACK / k)
+
+    def log_scale(self):
+        return (math.log(self.hi) - math.log(self.lo)) / self.order
+
+    def mellin_closed(self, s):
+        # sinh(z) / z = sinc(i z / pi), which np.sinc takes as 1 at z = 0
+        h = self.log_scale()
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = self.amplitude * h * np.exp(s * self._centre()) \
+                * np.sinc(s * (0.5j * h / math.pi)) ** self.order
+        if not np.all(np.isfinite(m)):
+            raise WindowError(f"the Mellin transform of {self!r} overflows")
+        return m
 
 
 def _psi_tail(a: float, c: float, sig: float, k: int, log_x: float):
@@ -238,12 +317,8 @@ def _psi_tail(a: float, c: float, sig: float, k: int, log_x: float):
 def log_step(f) -> float:
     """A trapezoid step in u = ln x for integrands that vary like f: the
     largest power of two at most min(sigma, 1) / 64 for f's scale sigma
-    in ln x (TestFunction.log_scale), and never below 1/2048, the step
-    when f states no scale."""
-    sigma = f.log_scale()
-    if sigma is None:
-        return _MIN_LOG_STEP
-    width = min(sigma, 1.0) / _LOG_STEPS_PER_SCALE
+    in ln x (TestFunction.log_scale), and never below 1/2048."""
+    width = min(f.log_scale(), 1.0) / _LOG_STEPS_PER_SCALE
     return max(math.ldexp(0.5, math.frexp(width)[1]), _MIN_LOG_STEP)
 
 
@@ -253,8 +328,8 @@ def scale(f: TestFunction, t: float) -> TestFunction:
         raise DomainError("scale t must be positive")
     if isinstance(f, LogGaussian):
         return LogGaussian(f.amplitude, f.center + math.log(t), f.width)
-    if isinstance(f, LogBump):
-        return LogBump(f.amplitude, t * f.lo, t * f.hi, f.shape)
+    if isinstance(f, LogSpline):
+        return LogSpline(f.amplitude, t * f.lo, t * f.hi, f.order)
     raise TypeError(f"cannot scale {type(f)!r}")
 
 

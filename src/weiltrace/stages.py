@@ -2,7 +2,7 @@
 
 ``with stage("primes"):`` adds the wall seconds of its block into
 ``TIMINGS["primes"]``, and the code doing the work records its size in
-``WORK`` (zeros summed, primes, FFT length, ...; the last call wins).
+``WORK`` (zeros summed, primes, Mellin heights, ...; the last call wins).
 ``reset()`` clears both; the CLI calls it before each command, so a
 report's ``timings`` and ``work`` describe that command alone.  Stages
 never nest, so their sum stays below the command's wall time.

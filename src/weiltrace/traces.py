@@ -192,7 +192,7 @@ def trace_rhs(f0, f1) -> float:
     """tau(f0 * d f1) = integral f0(x) f1(1/x) ln(1/x) d*x by an
     independent trapezoid in u = ln x on the points u = k h, h the
     smaller of f0's and f1's log_step (1/128 for widths 0.7 and 0.9,
-    1/2048 for a log-bump).  It samples only the intersection of f0's
+    1/512 for a log-spline of order 8 on [1/2, 2]).  It samples only the intersection of f0's
     visible interval (where |f0| reaches 1e-20 of its peak) with the
     reflection u -> -u of f1's, widened to the grid: 0.0 when that is
     empty, WindowError when it leaves |u| <= 60 or the integral

@@ -9,11 +9,12 @@ so it is exact up to arithmetic rounding.
 
 The Mellin transform uses the multiplicative-Haar normalisation
     (M f)(s) = integral_0^inf f(x) x^s dx/x;
-on the critical line one FFT gives it at a whole grid of heights.
+``mellin`` is a quadrature, independent of the families' closed forms.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -22,7 +23,7 @@ import numpy as np
 from .errors import DivergentIntegralError, WindowError
 from .families import ParityFunction, TestFunction
 from .grids import QuadratureSpec, trapezoid, trapezoid_with_coarse
-from .stages import WORK
+from .special import loggamma
 
 
 def fourier(f: ParityFunction) -> ParityFunction:
@@ -76,41 +77,6 @@ def mellin(f: TestFunction, s: complex, q: QuadratureSpec | None = None,
     return MellinValue(s=s, value=value, est_error=est + 10.0 * edge * h)
 
 
-def mellin_critical_line(f: TestFunction,
-                         ) -> tuple[np.ndarray, np.ndarray, float]:
-    """(r, (M f)(1/2 + i r), trunc) at r_k = 2 pi k / (m h),
-    k = 0 .. n - 1, for an n-point grid of step h on the QuadratureSpec()
-    window and m = 2 (n - 1), so r runs up to pi / h.
-
-    Every value is the trapezoid sum that ``mellin`` forms at
-    s = 1/2 + i r_k on the same grid; one FFT of length m gives them all.
-    The step is halved, from QuadratureSpec()'s up to 64001 points
-    (log-Gaussians down to sigma ~ 0.01), while |M f(1/2 + i pi / h)|
-    exceeds 1e-13 of its peak.  As in ``mellin``, trunc = 10 edge h
-    bounds each value's window truncation, and WindowError is raised.
-    """
-    q = QuadratureSpec()
-    while True:
-        u, h, g, edge = _window_samples(f, 0.5, q)
-        g[[0, -1]] *= 0.5
-        m = 2 * (u.size - 1)
-        r = _critical_heights(u.size, h)
-        # ifft(g)[k] * m = sum_j g_j e^{2 pi i j k / m} (= e^{i r_k j h})
-        sums = np.fft.ifft(g, n=m)[:u.size] * m
-        values = h * np.exp(1j * r * u[0]) * sums
-        if (abs(values[-1]) <= 1e-13 * np.max(np.abs(values))
-                or q.n_points >= 64001):
-            WORK["fft_length"] = m
-            return r, values, float(10.0 * edge * h)
-        q = QuadratureSpec(n_points=2 * q.n_points - 1)
-
-
-def _critical_heights(n_points: int, h: float) -> np.ndarray:
-    """r_k = 2 pi k / (m h), k = 0 .. n - 1, m = 2 (n - 1): the heights
-    of ``mellin_critical_line`` on an n-point grid of step h."""
-    return np.arange(n_points) * (2.0 * math.pi / (2 * (n_points - 1) * h))
-
-
 def _window_samples(f, s: complex, q: QuadratureSpec):
     """(u, h, f(e^u) e^{s u}, edge) on q's grid; WindowError when the
     larger endpoint sample, edge, is not negligible against the peak,
@@ -134,44 +100,31 @@ def _window_samples(f, s: complex, q: QuadratureSpec):
 
 
 def mellin_parity(f: ParityFunction, s: complex) -> MellinValue:
-    """Restricted Mellin transform integral_0^inf f(x) x^s dx/x for a
-    Gaussian-polynomial function.
+    """integral_0^inf f(x) x^s dx/x for a Gaussian-polynomial function,
+    term by term as M(x^k e^{-a pi x^2})(s) = Gamma((s+k)/2) (a pi)^{-(s+k)/2}
+    / 2, taken as one exp of ln Gamma so that it underflows to 0 at large
+    |Im s| (where Gamma alone is 0 times infinity).
 
-    Convergence at x = 0 needs Re(s) + k_min > 0 where k_min is the
-    lowest monomial degree present; otherwise DivergentIntegralError.
-    The small-x tail below the quadrature window (u = ln x in [-60, 6],
-    6001 points) is added analytically from the power-series expansion
-    of the Gaussian factors.
-    """
+    It converges at x = 0 when Re(s) + k_min > 0, k_min the lowest
+    degree; else DivergentIntegralError.  est_error is 1e-13 of the
+    terms' moduli, ``special``'s stated accuracy for Gamma, not a proven
+    bound.  A value that is not finite (huge s) raises WindowError."""
     s = complex(s)
     k_min = min(deg for _, deg, _ in f.terms)
     if s.real + k_min <= 0.05:
         raise DivergentIntegralError(
             f"Mellin integral diverges at 0: Re(s) + k_min = "
             f"{s.real + k_min:.3f} <= 0 (need > 0, with margin)")
-    q = QuadratureSpec(u_min=-60.0, u_max=6.0, n_points=6001)
-    u, h = q.u_grid()
-    x = np.exp(u)
-    vals = np.asarray(f(x), dtype=complex) * np.exp(s * u)
-    fine, coarse = trapezoid_with_coarse(vals, h)
-    value = complex(fine)
-    est = abs(value - complex(coarse))
-    # Analytic tail over (0, x0): expand exp(-a pi x^2) and integrate
-    # monomials; converges fast since x0 = e^{u_min} is tiny.
-    x0 = float(np.exp(q.u_min))
-    tail = 0.0 + 0.0j
-    for coeff, deg, alpha in f.terms:
-        term = 0.0 + 0.0j
-        for m in range(9):
-            expo = s + deg + 2 * m
-            term += (-alpha * math.pi) ** m / math.factorial(m) \
-                * x0 ** expo / expo
-        tail += coeff * term
-    # Large-x edge must be in the Gaussian decay regime.
-    scale = float(np.max(np.abs(vals))) or 1.0
-    if abs(vals[-1]) > 1e-13 * scale:
-        raise WindowError("mellin_parity window too small at large x")
-    return MellinValue(s=s, value=value + tail, est_error=est + abs(tail) * 1e-12)
+    with np.errstate(all="ignore"):
+        terms = [0.5 * c * np.exp(loggamma(0.5 * (s + k))
+                                  - 0.5 * (s + k) * math.log(alpha * math.pi))
+                 for c, k, alpha in f.terms]
+        value = complex(sum(terms))
+    if not cmath.isfinite(value):
+        raise WindowError(f"the Mellin transform of {f!r} is not finite "
+                          f"at s = {s}")
+    return MellinValue(s=s, value=value,
+                       est_error=1e-13 * float(sum(map(abs, terms))))
 
 
 def _folded_log_grid(g, x_max: float, n_points: int = 4001):

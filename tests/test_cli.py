@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from weiltrace import (ExpressionError, LogBump, LogGaussian, parse_function,
+from weiltrace import (ExpressionError, LogGaussian, LogSpline, parse_function,
                        traces)
 from weiltrace import cli
 from weiltrace.cli import _jsonable, main
@@ -29,9 +29,18 @@ def test_parse_loggauss_positional_and_named():
 
 
 def test_parse_logbump():
-    f = parse_function("logbump(a=1, lo=0.5, hi=2)")
-    assert isinstance(f, LogBump)
+    # the log-bump family is retired, with no alias
+    with pytest.raises(ExpressionError, match="unknown constructor 'logbump'"):
+        parse_function("logbump(a=1, lo=0.5, hi=2)")
+
+
+def test_parse_logspline():
+    f = parse_function("logspline(a=1, lo=0.5, hi=2)")
+    assert isinstance(f, LogSpline)
     assert (f.lo, f.hi) == (0.5, 2.0)
+    # the default order, normalised to an int
+    assert f.order == 8 and type(f.order) is int
+    assert parse_function("logspline(1,0.5,2,8)") == f
 
 
 def test_parse_builtins():
@@ -52,8 +61,13 @@ def test_parse_defaults_roundtrip():
     "loggauss(a=1, a=2)",
     # non-finite parameters, and a width whose 2 sigma^2 underflows
     "loggauss(1,0,1e-300)", "loggauss(1e309,0,1)", "loggauss(1,1e309,1)",
-    "logbump(1e309,0.5,2,1)", "logbump(1,0.5,1e309,1)",
-    "logbump(1,0.5,2,1e309)",
+    "logspline(1e309,0.5,2,8)", "logspline(1,0.5,1e309,8)",
+    "logspline(1,0.5,2,1e309)",
+    # width^2 overflows; orders that are not an integer from 3 to 12;
+    # an empty or negative support
+    "loggauss(1,0,1e308)", "logspline(1,0.5,2,8.5)",
+    "logspline(1,0.5,2,2)", "logspline(1,0.5,2,13)", "logspline(1,2,0.5,8)",
+    "logspline(1,0,2,8)", "logspline(1,1,1,8)",
 ])
 def test_parse_rejects(bad):
     with pytest.raises(ExpressionError):
@@ -221,12 +235,25 @@ def test_cli_verify_every_parsable_function(tmp_path, monkeypatch, expr):
 
 
 def test_cli_verify_logbump(tmp_path, monkeypatch):
+    # the retired log-bump is a configuration error now
     monkeypatch.setenv("WEILTRACE_CACHE", str(tmp_path))
     status, report = _run(tmp_path, "verify-explicit-formula",
                           "--f", "logbump(1,0.5,2,1)", "--zeros", "auto:60",
                           "--primes", "10000")
+    assert status == 2
+    assert report["outputs"]["error_type"] == "ExpressionError"
+
+
+def test_cli_verify_logspline(tmp_path, monkeypatch):
+    monkeypatch.setenv("WEILTRACE_CACHE", str(tmp_path))
+    status, report = _run(tmp_path, "verify-explicit-formula",
+                          "--f", "logspline(1,0.5,2,8)", "--zeros", "auto:60",
+                          "--primes", "10000")
     assert status == 0
     assert report["outputs"]["residual"] <= report["outputs"]["total_budget"]
+    # the zeros above 60 dominate: a stated bound within 100x
+    assert report["outputs"]["total_budget"] \
+        <= 100.0 * report["outputs"]["residual"]
 
 
 @pytest.mark.parametrize("expr", ["loggauss(1,0,0.04)", "loggauss(1,0.5,0.03)",
@@ -481,7 +508,7 @@ _TAIL_BOUND = (
     # one function has no mass on the lag window: both sides would be 0
     ("check-trace-lemma", "--f0", "loggauss(1,0,1)",
      "--f1", "loggauss(1,700,1)"),
-    ("check-trace-lemma", "--f0", "logbump(1,1e10,1e11,1)",
+    ("check-trace-lemma", "--f0", "logspline(1,1e10,1e11,8)",
      "--f1", "loggauss(1,0,1)"),
     # f1 is one nonzero lag sample: both sides would be 0 for any f0
     ("check-trace-lemma", "--f0", "loggauss(1,0,1)",
@@ -507,6 +534,9 @@ _TAIL_BOUND = (
     ("verify-explicit-formula", "--f", "loggauss(1e300,20,1)",
      "--zeros", "auto:60", "--primes", "10000"),
     *_TAIL_BOUND,
+    # Gamma((s + k)/2) (a pi)^{-(s+k)/2} overflows
+    ("mellin", "--f", "gauss2", "--s", "1e300"),
+    ("mellin", "--f", "xgauss2", "--s", "1e5"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_cli_window_error_is_certification_failure(tmp_path, capfd, argv):
@@ -538,7 +568,7 @@ def test_cli_trace_tolerance_scales_with_amplitude(tmp_path, monkeypatch,
     ("mellin", "--f", "loggauss(1,800,1)", "--s", "0.5,1"),
     ("verify-explicit-formula", "--f", "loggauss(1,800,1)",
      "--zeros", "auto:60", "--primes", "10000"),
-    ("verify-explicit-formula", "--f", "logbump(1,1e30,1e31,1)",
+    ("verify-explicit-formula", "--f", "logspline(1,1e30,1e31,8)",
      "--zeros", "auto:60", "--primes", "10000"),
 ])
 def test_cli_mass_outside_mellin_window(tmp_path, monkeypatch, argv):
@@ -586,6 +616,8 @@ def test_cli_tiny_width_warns_nothing(tmp_path, monkeypatch, argv, reason):
 @pytest.mark.parametrize("argv", [
     ("verify-explicit-formula", "--zeros", "auto:60", "--f"),
     ("check-trace-lemma", "--f1", "loggauss(1,0.3,0.9)", "--f0"),
+    # an AttributeError traceback
+    ("check-zspectral", "--s", "2,1", "--f"),
 ])
 @pytest.mark.parametrize("name", sorted(_BUILTINS))
 def test_cli_rejects_function_on_real_line(tmp_path, monkeypatch, argv,
@@ -595,6 +627,70 @@ def test_cli_rejects_function_on_real_line(tmp_path, monkeypatch, argv,
     assert status == 2
     assert report["outputs"]["error_type"] == "ConfigError"
     assert "(0, inf)" in report["outputs"]["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-poisson", "--f", "loggauss(1,0,1)"),
+    ("check-poisson", "--f", "logspline(1,0.5,2,8)"),
+    ("check-twisted-poisson", "--f", "loggauss(1,0,1)", "--modulus", "7",
+     "--index", "1"),
+    ("check-twisted-poisson", "--f", "logspline(1,0.5,2,8)",
+     "--modulus", "4", "--index", "1"),
+])
+@pytest.mark.filterwarnings("error")
+def test_cli_rejects_function_on_half_line(tmp_path, capfd, argv):
+    # each ended in an AttributeError traceback
+    status, report = _run(tmp_path, *argv)
+    assert status == 2
+    assert report["outputs"]["error_type"] == "ConfigError"
+    assert "needs a test function on R;" in report["outputs"]["error"]
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("mellin", "--f", "loggauss(1,0,1e308)", "--s", "2"),
+    ("check-zspectral", "--f", "loggauss(1,0,1e308)"),
+    ("check-trace-lemma", "--f0", "loggauss(1,0,1)",
+     "--f1", "loggauss(1,0,1e308)"),
+    ("verify-explicit-formula", "--f", "loggauss(1,0,1e308)",
+     "--zeros", "auto:60"),
+    ("verify-explicit-formula", "--f", "logspline(1,0.5,2,3.5)",
+     "--zeros", "auto:60"),
+])
+@pytest.mark.filterwarnings("error")
+def test_cli_rejected_parameters_are_config_errors(tmp_path, monkeypatch,
+                                                  capfd, argv):
+    # width ** 2 raised an OverflowError traceback
+    monkeypatch.setenv("WEILTRACE_CACHE", str(tmp_path))
+    status, report = _run(tmp_path, *argv)
+    assert status == 2
+    assert report["outputs"]["error_type"] == "ExpressionError"
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("zeros", "--max-height", "20", "--table-out", "{dir}"),
+    ("zeros", "--max-height", "20", "--table-out", "{dir}/missing/z.txt"),
+    ("verify-explicit-formula", "--f", "loggauss(1,0,1)", "--zeros", "{dir}"),
+])
+def test_cli_file_errors_are_config_errors(tmp_path, capfd, argv):
+    # each ended in an IsADirectoryError or FileNotFoundError traceback
+    status, report = _run(tmp_path,
+                          *(a.format(dir=tmp_path) for a in argv))
+    assert status == 2
+    assert report["outputs"]["error_type"] == "ConfigError"
+    assert capfd.readouterr().err == ""
+
+
+def test_cli_mellin_of_gauss2_is_one_over_pi(tmp_path):
+    # integral_0^inf 2 e^{-pi x^2} x dx = 1 / pi, from the Gamma closed
+    # form; the estimate is Gamma's stated 1e-13, not a quadrature's 7e-65
+    status, report = _run(tmp_path, "mellin", "--f", "gauss2", "--s", "2")
+    assert status == 0
+    out = report["outputs"]
+    assert abs(out["value"]["re"] - 1.0 / math.pi) <= 1e-15
+    assert out["value"]["im"] == 0.0
+    assert out["est_error"] == pytest.approx(1e-13 / math.pi, rel=1e-12)
 
 
 def test_report_values_are_strict_json(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weiltrace import (LogBump, LogGaussian, NonPrimitiveCharacterError,
+from weiltrace import (LogGaussian, LogSpline, NonPrimitiveCharacterError,
                        ParityMismatchError, TruncationSpec, apply_L_chi,
                        apply_Z, apply_Z_inverse, character, characters,
                        gaussian_even, gaussian_odd, mobius_up_to, poisson_check, primes_up_to,
@@ -106,17 +106,20 @@ def test_mobius_inversion_is_exact_up_to_rounding(f):
 
 def test_apply_Z_compact_support_past_n_max_raises():
     # The support (0.5, 2) at x = 1e-5 needs ~2e5 terms: capping at
-    # n_max would return 3487.24 of a sum of 8622.20.
-    f = LogBump(1.0, 0.5, 2.0, 1.0)
+    # n_max would return 7760.90 of a sum of 17502.96, which is
+    # M f(1) / x up to the sum's x^8-small Euler-Maclaurin error.
+    f = LogSpline(1.0, 0.5, 2.0, 8)
     with pytest.raises(TailBoundError):
         apply_Z(f, 1e-5)
     full = apply_Z(f, 1e-5, TruncationSpec(n_max=200_000))
-    assert full.real == pytest.approx(8622.195, abs=1e-3)
+    assert full.real == pytest.approx(17502.957, abs=1e-3)
+    assert full.real == pytest.approx(f.mellin_closed(1.0).real / 1e-5,
+                                      rel=1e-14)
 
 
 @pytest.mark.parametrize("f, x", [
     (LogGaussian(1.0, 0.0, 1.0), 1e-310),
-    (LogBump(1.0, 0.5, 2.0, 1.0), 1e-310),
+    (LogSpline(1.0, 0.5, 2.0, 8), 1e-310),
     (gaussian_even(), 1e-310), (gaussian_odd(), 5e-324),
     # e^800 overflows a float before x divides it
     (LogGaussian(1.0, 800.0, 1.0), 1.0),
@@ -173,12 +176,12 @@ def test_generic_term_cap_matches_scalar_probes():
                 assert operators._term_cap(g, x, tr) == want
 
 
-Z_IMAGE_FUNCTIONS = (LogGaussian(2.0, 0.4, 0.7), LogBump(1.0, 0.5, 2.0, 1.0),
+Z_IMAGE_FUNCTIONS = (LogGaussian(2.0, 0.4, 0.7), LogSpline(1.0, 0.5, 2.0, 8),
                      gaussian_even())
 
 
 @pytest.mark.parametrize("f", Z_IMAGE_FUNCTIONS,
-                         ids=("loggauss", "logbump", "gauss2"))
+                         ids=("loggauss", "logspline", "gauss2"))
 def test_z_image_values_are_certified_at_every_argument(f):
     tr = TruncationSpec(tail_tol=1e-12)
     rng = np.random.default_rng(7)

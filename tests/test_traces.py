@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weiltrace import (AuxiliaryPhi, LogBump, LogGaussian, LogGridSpec,
+from weiltrace import (AuxiliaryPhi, LogGaussian, LogGridSpec, LogSpline,
                        WindowError, cinf_step, commutator_trace,
                        phi_log_identity, toeplitz_trace_check, trace_rhs)
 from weiltrace.stages import WORK
@@ -148,25 +148,27 @@ def test_trace_rhs_gaussian_moment(f0, f1):
 
 
 @pytest.mark.parametrize("f0, f1", [
-    (LogBump(1.0, 0.5, 2.0, 1.0), LogBump(1.0, 0.7, 1.5, 1.0)),
-    (LogBump(2.0, 0.8, 3.0, 0.5), LogBump(1.0, 0.4, 1.6, 2.0)),
-    (LogBump(1.0, 0.2, 1.5, 0.3), LogBump(1.0, 0.9, 4.0, 0.3)),
-    # a log-bump states no width: the step is 1/2048 beside a Gaussian
-    (LogGaussian(1.0, 0.2, 0.5), LogBump(1.0, 0.5, 2.0, 1.0)),
-    (LogBump(1.0, 0.5, 2.0, 1.0), LogGaussian(1.0, 0.3, 0.05)),
+    (LogSpline(1.0, 0.5, 2.0, 8), LogSpline(1.0, 0.7, 1.5, 8)),
+    (LogSpline(2.0, 0.8, 3.0, 5), LogSpline(1.0, 0.4, 1.6, 12)),
+    (LogSpline(1.0, 0.2, 1.5, 5), LogSpline(1.0, 0.9, 4.0, 6)),
+    # the step follows the narrower function: the spline's knot width
+    # beside a Gaussian
+    (LogGaussian(1.0, 0.2, 0.5), LogSpline(1.0, 0.5, 2.0, 8)),
+    (LogSpline(1.0, 0.5, 2.0, 8), LogGaussian(1.0, 0.3, 0.05)),
 ])
-def test_trace_rhs_log_bump(f0, f1):
-    # a 2,000,001-point trapezoid over the product's support
+def test_trace_rhs_log_spline(f0, f1):
+    # a 200,001-point trapezoid over the product's support, whose error
+    # falls like its step^5 on these C^3 (and smoother) integrands
     lo0, hi0 = f0.visible(1e-20, relative=True)
     lo1, hi1 = f1.visible(1e-20, relative=True)
-    u = np.linspace(max(lo0, -hi1), min(hi0, -lo1), 2000001)
+    u = np.linspace(max(lo0, -hi1), min(hi0, -lo1), 200001)
     want = np.trapezoid(f0.of_log(u) * f1.of_log(-u) * (-u), u)
     assert abs(trace_rhs(f0, f1) - want) <= 1e-15
 
 
 def test_trace_rhs_disjoint_supports():
     # f1(1/x) lives on 1/3 < x < 1/2, f0 on 2 < x < 3: nothing is sampled
-    f = LogBump(1.0, 2.0, 3.0)
+    f = LogSpline(1.0, 2.0, 3.0)
     assert trace_rhs(f, f) == 0.0
     assert WORK["trace_rhs_points"] == 0
 
@@ -202,7 +204,7 @@ def test_commutator_trace_rejects_phi_wider_than_window(width, half_width):
 
 @pytest.mark.parametrize("f0, f1", [
     # f0(x) f1(1/x) is 0: f0 lives on 2 < x < 3 and f1(1/x) on 1/3 < x < 1/2
-    (LogBump(1.0, 2.0, 3.0), LogBump(1.0, 2.0, 3.0)),
+    (LogSpline(1.0, 2.0, 3.0), LogSpline(1.0, 2.0, 3.0)),
     # each function is visible on the lag grid, their products underflow
     (LogGaussian(1e-200, 0.0, 0.7), LogGaussian(1e-200, 0.3, 0.9)),
 ])
@@ -215,7 +217,7 @@ def test_commutator_trace_rejects_a_zero_product(f0, f1):
 @pytest.mark.parametrize("f0, f1", [
     # f1 has no mass on the lag window [-16, 16]: both sides read 0
     (F0, LogGaussian(1.0, 700.0, 1.0)),
-    (LogBump(1.0, 1e10, 1e11), F1),
+    (LogSpline(1.0, 1e10, 1e11), F1),
     # f0's tail at the window edge is 14% of its own peak, although
     # only 1e-21 of f1's
     (LogGaussian(1e-20, 14.0, 1.0), F1),

@@ -10,7 +10,6 @@ from weiltrace import (LogGaussian, ParityFunction, WindowError, apply_J,
                        mellin, mellin_parity, pair_log_fourier,
                        DivergentIntegralError, QuadratureSpec)
 from weiltrace.grids import trapezoid, trapezoid_with_coarse
-from weiltrace.transforms import mellin_critical_line
 
 LOG_GAUSSIANS = (LogGaussian(1.0, 0.3, 0.9), LogGaussian(1.0, 0.0, 1.0),
                  LogGaussian(2.0, -0.5, 0.6))
@@ -85,28 +84,6 @@ def test_mellin_uses_the_exact_step():
             assert abs(mellin(f, s).value - want) <= 1e-14 * abs(want)
 
 
-def test_mellin_critical_line_matches_closed_form():
-    for f in LOG_GAUSSIANS:
-        r, values, trunc = mellin_critical_line(f)
-        assert r[0] == 0.0 and values.size % 2 == 1
-        assert r[-1] == pytest.approx(math.pi / QuadratureSpec().u_grid()[1])
-        assert type(trunc) is float and trunc < 1e-300
-        want = f.mellin_closed(0.5 + 1j * r)
-        assert np.max(np.abs(values - want)) < 1e-13
-
-
-def test_mellin_critical_line_refines_for_narrow_functions():
-    # sigma = 0.02: |M f| at the default grid's pi / h is ~1e-2 of its
-    # peak; two halvings of the step bring it below 1e-13
-    f = LogGaussian(1.0, 0.3, 0.02)
-    r, values, _ = mellin_critical_line(f)
-    assert r[-1] == pytest.approx(4.0 * math.pi
-                                  / QuadratureSpec().u_grid()[1])
-    assert abs(values[-1]) <= 1e-13 * np.max(np.abs(values))
-    want = f.mellin_closed(0.5 + 1j * r)
-    assert np.max(np.abs(values - want)) < 1e-13
-
-
 def test_mellin_j_reflection():
     f = LogGaussian(1.0, 0.3, 0.9)
     s = complex(0.7, 2.0)
@@ -156,6 +133,41 @@ def test_mellin_parity_gauss2():
 def test_mellin_parity_divergence():
     with pytest.raises(DivergentIntegralError):
         mellin_parity(gaussian_even(), 0.0)
+
+
+@pytest.mark.parametrize("s", [complex(0.5, 14.134725), complex(3.0, -2.0)])
+def test_mellin_parity_against_quadrature(s):
+    # the Gamma closed form, term by term, against mpmath's quadrature;
+    # est_error is Gamma's stated 1e-13 of the terms' moduli
+    mpmath = pytest.importorskip("mpmath")
+    f = ParityFunction(+1, ((1.0, 0, 1.0), (-0.5, 2, 0.7), (0.3j, 4, 2.0)))
+    with mpmath.workdps(20):
+        # in u = ln x, split into unit intervals up to x = e^2
+        want = complex(mpmath.quad(
+            lambda u: sum(c * mpmath.exp(k * u - a * mpmath.pi
+                                         * mpmath.exp(2 * u))
+                          for c, k, a in f.terms) * mpmath.exp(s * u),
+            list(range(-80, 3))))
+    got = mellin_parity(f, s)
+    assert abs(got.value - want) <= got.est_error
+    assert got.est_error <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("s", [1e300, 1e5, complex(1e5, 1e5)])
+@pytest.mark.filterwarnings("error")
+def test_mellin_parity_overflow_is_a_window_error(s):
+    with pytest.raises(WindowError):
+        mellin_parity(gaussian_odd(), s)
+
+
+@pytest.mark.filterwarnings("error")
+def test_mellin_parity_underflows_to_zero_high_on_the_line():
+    # |Gamma(1/4 + 500i)| ~ e^{-785} underflows; Gamma by reflection
+    # would be 0 times infinity there
+    for s in (complex(0.5, 1e3), complex(0.5, -1e300)):
+        assert mellin_parity(gaussian_even(), s).value == 0.0
+    # s = 400 is finite, though Gamma(200) alone overflows
+    assert math.isfinite(mellin_parity(gaussian_even(), 400.0).value.real)
 
 
 def test_pair_log_fourier_known_values():
