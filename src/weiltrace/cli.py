@@ -17,15 +17,18 @@ A plain-text config file of ``key = value`` lines may be supplied with
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import os
 import sys
 import time
 
+import numpy as np
+
 from . import stages
 from .errors import (ConfigError, DisagreementError, ToleranceError,
-                     WeiltraceError)
+                     WeiltraceError, WindowError)
 from .exprs import parse_function
 from .explicit import verify_explicit_formula
 from .operators import (TruncationSpec, character, poisson_check,
@@ -154,20 +157,26 @@ def _resolve_zeros(source: str, out_path: str | None):
 
 
 def _values_command(cfg: dict) -> tuple[dict, bool]:
-    cmd = cfg["command"]
-    s = _parse_complex(_required(cfg, "s"))
-    if cmd == "mellin":
-        f = parse_function(_required(cfg, "f"))
-        mv = (mellin_parity if isinstance(f, ParityFunction) else mellin)(
-            f, s)
-        return {"value": mv.value, "est_error": mv.est_error}, True
-    if cmd == "zeta":
-        return {"value": zeta(s)}, True
-    if cmd == "xi":
-        v = xi(s)
-        return {"xi": v.xi, "zeta": v.zeta,
-                "gamma_factor": v.gamma_factor}, True
-    return {"value": l_chi(_character(cfg), s)}, True      # lchi
+    """The command's values at s; WindowError unless each is finite."""
+    cmd, s = cfg["command"], _parse_complex(_required(cfg, "s"))
+    try:
+        with np.errstate(all="ignore"):
+            if cmd == "mellin":
+                f = parse_function(_required(cfg, "f"))
+                mv = (mellin_parity if isinstance(f, ParityFunction)
+                      else mellin)(f, s)
+                out = {"value": mv.value, "est_error": mv.est_error}
+            elif cmd == "xi":    # xi, zeta and gamma_factor
+                out = {k: v for k, v in vars(xi(s)).items() if k != "s"}
+            else:
+                out = {"value": zeta(s) if cmd == "zeta"
+                       else l_chi(_character(cfg), s)}
+        finite = all(map(cmath.isfinite, out.values()))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise WindowError(f"{cmd} overflows or is not finite at s = {s}")
+    return out, True
 
 
 def _check_command(cfg: dict) -> tuple[dict, bool]:

@@ -14,7 +14,8 @@ W_inf is computed by two genuinely different routes:
   * Weil's digamma form (primary),
         W_inf(f) = (1/pi) integral_0^inf Re (M f)(1/2 + i r)
                    (ln pi - Re digamma(1/4 + i r/2)) dr,
-    with f's closed-form Mellin transform where it is visible and f's
+    with f's closed-form Mellin transform at r = k pi / 80 up to
+    f.visible_height(1e-18), a height stated by f's family, and f's
     archimedean_tail above (A. Weil, 1952; E. Bombieri, 2000);
   * the duality pairing -<F(ln|x|), psi> with psi(y) = f(|1-y|), where
     F(ln|x|) = -(1/2)|y|^{-1}_reg - (gamma + ln 2 pi) delta is written in
@@ -34,21 +35,21 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceededError, DisagreementError
+from .errors import BudgetExceededError, DisagreementError, WindowError
 from .families import TestFunction, log_step
-from .grids import QuadratureSpec, trapezoid, trapezoid_with_coarse
+from .grids import trapezoid, trapezoid_with_coarse
 from .operators import TruncationSpec, primes_up_to
 from .special import EULER_GAMMA, digamma
 from .stages import WORK, stage
-from .transforms import _window_samples
 from .zeros import ZeroTable
 
 # The principal value's |ln x| edge; the largest route disagreement.
 _PV_EDGE = 60.0
 _CROSS_CHECK_TOL = 1e-5
-# Closed-form Mellin heights stop where |M f(1/2 + i r)| falls below this
-# fraction of its peak; the largest grid of the doubling ladder.
-_MELLIN_CUT, _MAX_GRID = 1e-18, 64001
+# W_inf's heights r_k = k pi / 80: the weight's transform decays like
+# e^{-|u|/2}, so the first alias, at |u| = 160, is below e^{-80}
+# (Trefethen & Weideman, SIAM Review 56, 2014); at most 64001 of them.
+_HEIGHT_STEP, _MELLIN_CUT, _MAX_HEIGHTS = math.pi / 80.0, 1e-18, 64001
 # ln(1e308): W_prime_total's largest prime power.
 _LOG_MAX_POWER = 308.0 * math.log(10.0)
 # The prime side leaves out powers where |f| < _PRIME_EPS; f's prime_tail
@@ -112,9 +113,10 @@ def pv_regularised(f) -> float:
     being the smaller |end|, and the grid starts at the last grid point
     at or below U_lo.  The grid is u = k h, n points with n - 1 a
     multiple of 8, and h from log_step (1/64 for a log-Gaussian of width
-    1, 1/512 for a log-spline of order 8 on [1/2, 2]); the trapezoid on its 1-, 2-, 4- and
-    8-spaced subgrids with three Richardson steps removes the h^2, h^4
-    and h^6 terms at u = 0."""
+    1, 1/512 for a log-spline of order 8 on [1/2, 2]); the trapezoid on
+    its 1-, 2-, 4- and 8-spaced subgrids with three Richardson steps
+    removes the h^2, h^4 and h^6 terms at u = 0.  WindowError when every
+    sample of G is 0: f has no mass on |ln x| <= 60."""
     lo, hi = np.clip(f.visible(_PRIME_EPS), -_PV_EDGE, _PV_EDGE)
     step = log_step(f)
     g0 = 2.0 * float(f.of_log(0.0))
@@ -125,6 +127,9 @@ def pv_regularised(f) -> float:
     WORK["pv_points"] = u.size
     decay = np.exp(-u)
     g = f.of_log(u) + decay * f.of_log(-u)
+    if not np.any(g):
+        raise WindowError(f"the principal value's grid [{u[0]}, {u[-1]}] "
+                          f"in ln x holds no mass: every sample is 0")
     vals = np.full(u.size, 1.5 * g0)
     i = int(first == 0)
     vals[i:] = 2.0 * (g[i:] - g0 * decay[i:] ** 2) / -np.expm1(-2.0 * u[i:])
@@ -142,45 +147,24 @@ def archimedean_constant() -> float:
 
 @functools.lru_cache(maxsize=None)
 def _archimedean_weight(n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """(r, w) at r_k = pi k / ((n - 1) h), k < n, for the step h of an
-    n-point QuadratureSpec() grid (so r runs up to pi / h), and
-    w(r) = ln pi - Re digamma(1/4 + i r/2); built once for each of
-    _critical_line's five sizes (4001 .. 64001), read-only."""
-    _, h = QuadratureSpec(n_points=n_points).u_grid()
-    r = np.arange(n_points) * (2.0 * math.pi / (2 * (n_points - 1) * h))
+    """(r, w) at r_k = k pi / 80, k < n, w(r) = ln pi - Re digamma(1/4 +
+    i r/2); built once for each of the five sizes 4000 2^j + 1, read-only."""
+    r = np.arange(n_points) * _HEIGHT_STEP
     weight = math.log(math.pi) - digamma(0.25 + 0.5j * r).real
     r.flags.writeable = weight.flags.writeable = False
     return r, weight
 
 
-def _last_visible(values: np.ndarray) -> int:
-    """The last index where |values| reaches 1e-18 of its peak (or is
-    not a number)."""
-    mag = np.abs(values)
-    return int(np.flatnonzero(~(mag < _MELLIN_CUT * mag.max()))[-1])
-
-
 def _critical_line(f):
-    """(r, w, (M f)(1/2 + i r)) on the leading odd-length slice of
-    _archimedean_weight(n)'s heights that ends just past the last one
-    where |M f| reaches 1e-18 of its peak.  126 probes, every
-    (n - 1)/125-th height, bracket that height, and n doubles (4001 ..
-    64001) while the last probe reaches it.  An f with no mass on
-    QuadratureSpec()'s grid raises WindowError first."""
-    _window_samples(f, 0.5, QuadratureSpec())
-    n = QuadratureSpec().n_points
-    while True:
-        r, weight = _archimedean_weight(n)
-        # n - 1 = 4000 2^j, so the probes end on the last height
-        stride = (n - 1) // 125
-        seen = _last_visible(f.mellin_closed(0.5 + 1j * r[::stride]))
-        if seen < 125 or n == _MAX_GRID:
-            break
-        n = 2 * n - 1
-    values = f.mellin_closed(0.5 + 1j * r[:min(seen + 1, 125) * stride + 1])
-    last = _last_visible(values)
-    keep = min(last + 3 - last % 2, values.size)
-    return r[:keep], weight[:keep], values[:keep]
+    """(r, w, (M f)(1/2 + i r)) on the heights r_k = k pi / 80 up to one
+    or two past the last below f.visible_height(1e-18): an odd count, at
+    most 64001, and no sample of f."""
+    last = int(min(f.visible_height(_MELLIN_CUT) / _HEIGHT_STEP,
+                   _MAX_HEIGHTS))
+    keep = min(last + 3 - last % 2, _MAX_HEIGHTS)
+    n = (4000 << ((keep - 2) // 4000).bit_length()) + 1   # >= keep
+    r, weight = (a[:keep] for a in _archimedean_weight(n))
+    return r, weight, f.mellin_closed(0.5 + 1j * r)
 
 
 def W_infty(f) -> tuple[float, float, float]:
@@ -195,7 +179,7 @@ def W_infty(f) -> tuple[float, float, float]:
     |value|)."""
     r, weight, mf = _critical_line(f)
     WORK["mellin_heights"] = r.size
-    fine, coarse = trapezoid_with_coarse(mf.real * weight, r[1])
+    fine, coarse = trapezoid_with_coarse(mf.real * weight, _HEIGHT_STEP)
     value = float(fine) / math.pi
     est = (abs(float(fine) - float(coarse)) / math.pi
            + f.archimedean_tail(float(r[-1])))
@@ -258,8 +242,8 @@ def verify_explicit_formula(f, zt: ZeroTable,
     the accumulated error budget. BudgetExceededError when the residual
     is larger than the budget can explain."""
     tr = tr or TruncationSpec()
-    # W_infty goes first: its Mellin-window check rejects an f with no
-    # mass in the window before the spectral side's closed-form Mellin
+    # W_infty goes first: its principal value rejects an f with no mass
+    # on |ln x| <= 60 before the spectral side's closed-form Mellin
     # transform overflows on it.
     with stage("archimedean"):
         arch_val, arch_est, arch_dis = W_infty(f)

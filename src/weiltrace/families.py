@@ -3,12 +3,12 @@
 Two families:
 
 * ``TestFunction`` -- functions on (0, inf) that decay at both ends in
-  log coordinates, each with a closed-form Mellin transform:
-  log-Gaussians and compactly supported log-B-splines.  The scaling
-  (lambda_t f)(x) = f(x/t) maps each family to itself, and the
-  involution J f(x) = x^{-1} f(x^{-1}) maps log-Gaussians to
-  log-Gaussians, so the operator identities are checked without
-  interpolation error.
+  log coordinates, log-Gaussians and compactly supported log-B-splines,
+  each with a closed-form Mellin transform and a stated height past
+  which it fades on the critical line.  The scaling (lambda_t f)(x) =
+  f(x/t) maps each family to itself, and J f(x) = x^{-1} f(x^{-1}) maps
+  log-Gaussians to log-Gaussians, so the operator identities are
+  checked without interpolation error.
 
 * ``ParityFunction`` -- even or odd Schwartz functions on R of the form
   sum_j c_j x^{k_j} exp(-a_j pi x^2), closed under the Fourier transform
@@ -103,6 +103,10 @@ class TestFunction:
         W_inf's heights above height, with |w(r)| <= ln r + 2.2 / r."""
         raise NotImplementedError
 
+    def visible_height(self, eps: float) -> float:
+        """A height above which |M f(1/2 + i r)| < eps |M f(1/2)|."""
+        raise NotImplementedError
+
     def log_scale(self) -> float:
         """The width in u = ln x over which f varies."""
         raise NotImplementedError
@@ -184,6 +188,10 @@ class LogGaussian(TestFunction):
             * math.exp(max(expo, -745.0))
         return amp / (s2 * r * math.pi) \
             * (max(math.log(r), 0.0) + 1.0 + _WEIGHT_SLACK / r)
+
+    def visible_height(self, eps):
+        # |M f(1/2 + i r)| = |M f(1/2)| e^{-sig^2 r^2 / 2}, exactly
+        return math.sqrt(2.0 * math.log(1.0 / eps)) / self.width
 
     def log_scale(self):
         return self.width
@@ -288,6 +296,11 @@ class LogSpline(TestFunction):
         return self._envelope(r) / math.pi * (
             r * (math.log(r) + 1.0 / (k - 1)) / (k - 1) + _WEIGHT_SLACK / k)
 
+    def visible_height(self, eps):
+        # _envelope(|s|) / |M f(1/2)| = (coth(h/4) / 2 |s|)^K, |s| >= r
+        return 0.5 / math.tanh(0.25 * self.log_scale()) \
+            * eps ** (-1.0 / self.order)
+
     def log_scale(self):
         return (math.log(self.hi) - math.log(self.lo)) / self.order
 
@@ -371,8 +384,12 @@ class ParityFunction:
     def __call__(self, x):
         x_arr = np.asarray(x, dtype=float)
         out = np.zeros(x_arr.shape, dtype=complex)
-        for c, k, alpha in self.terms:
-            out = out + c * x_arr ** k * np.exp(-alpha * math.pi * x_arr ** 2)
+        with np.errstate(over="ignore"):
+            for c, k, alpha in self.terms:
+                g = np.exp(-alpha * math.pi * x_arr ** 2)
+                # x^k overflows only where g is 0: the term is 0, not NaN
+                xk = x_arr ** k if k < 2 else np.where(g > 0, x_arr ** k, 0.0)
+                out = out + c * xk * g
         if out.ndim == 0:
             out = complex(out)
             return out.real if abs(out.imag) == 0.0 else out

@@ -65,24 +65,11 @@ def mellin(f: TestFunction, s: complex, q: QuadratureSpec | None = None,
     In u = ln x the integrand f(e^u) e^{s u} is smooth with (for the
     supported families) fast decay, so the trapezoid rule is spectrally
     accurate.  The error estimate compares against the half-resolution
-    grid; a window whose endpoints still carry mass raises WindowError.
+    grid.  WindowError when an end sample is not negligible against the
+    peak, when every sample is 0 (the mass, if any, lies outside the
+    window), or when one is not finite (e^{s u} overflows for huge s).
     """
-    s = complex(s)
-    if q is None:
-        q = QuadratureSpec()
-    _, h, vals, edge = _window_samples(f, s, q)
-    fine, coarse = trapezoid_with_coarse(vals, h)
-    value = complex(fine)
-    est = abs(value - complex(coarse))
-    return MellinValue(s=s, value=value, est_error=est + 10.0 * edge * h)
-
-
-def _window_samples(f, s: complex, q: QuadratureSpec):
-    """(u, h, f(e^u) e^{s u}, edge) on q's grid; WindowError when the
-    larger endpoint sample, edge, is not negligible against the peak,
-    when every sample is 0 (the mass, if any, lies outside the window),
-    or when the peak, and so some sample, is not finite (e^{s u}
-    overflows for huge s)."""
+    s, q = complex(s), q or QuadratureSpec()
     u, h = q.u_grid()
     with np.errstate(over="ignore", invalid="ignore"):
         vals = f.of_log(u) * np.exp(s * u)
@@ -96,7 +83,9 @@ def _window_samples(f, s: complex, q: QuadratureSpec):
         raise WindowError(
             f"Mellin window [{q.u_min}, {q.u_max}] truncates mass: "
             f"edge/peak = {edge / scale:.3e}")
-    return u, h, vals, edge
+    fine, coarse = trapezoid_with_coarse(vals, h)
+    return MellinValue(s=s, value=complex(fine), est_error=abs(
+        complex(fine) - complex(coarse)) + 10.0 * edge * h)
 
 
 def mellin_parity(f: ParityFunction, s: complex) -> MellinValue:

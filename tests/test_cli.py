@@ -499,6 +499,13 @@ _TAIL_BOUND = (
     ("check-twisted-poisson", "--f", "xgauss2", "--modulus", "7",
      "--index", "1", "--x", "1e-310"),
 )
+# the same certification failure at x = 1e300, where x^2 overflowed in f
+# with a warning
+_HUGE_X = (
+    ("check-poisson", "--f", "gauss2", "--x", "1e300"),
+    ("check-twisted-poisson", "--f", "xgauss2", "--modulus", "3",
+     "--index", "1", "--x", "1e300"),
+)
 
 
 @pytest.mark.parametrize("argv", [
@@ -537,13 +544,19 @@ _TAIL_BOUND = (
     # Gamma((s + k)/2) (a pi)^{-(s+k)/2} overflows
     ("mellin", "--f", "gauss2", "--s", "1e300"),
     ("mellin", "--f", "xgauss2", "--s", "1e5"),
+    # the value was NaN and passed, with warnings, or xi's gamma factor
+    # ended in an OverflowError traceback
+    ("zeta", "--s", "-1e300,0"),
+    ("lchi", "--modulus", "3", "--index", "1", "--s", "-1e300,0"),
+    ("xi", "--s", "-1e300,0"),
+    *_HUGE_X,
 ])
 @pytest.mark.filterwarnings("error")
 def test_cli_window_error_is_certification_failure(tmp_path, capfd, argv):
     status, report = _run(tmp_path, *argv)
     assert status == 3
     assert report["outputs"]["error_type"] == (
-        "TailBoundError" if argv in _TAIL_BOUND else "WindowError")
+        "TailBoundError" if argv in _TAIL_BOUND + _HUGE_X else "WindowError")
     assert capfd.readouterr().err == ""
 
 
@@ -603,6 +616,12 @@ def test_cli_mass_outside_mellin_window_warns_nothing(tmp_path, monkeypatch):
       "--f1", "loggauss(1,0.3,1e-160)"), "holds no mass"),
     (("check-trace-lemma", "--f0", "loggauss(1,0,1)",
       "--f1", "loggauss(1,0,1e-160)"), "point mass"),
+    # W_infty's verdict hung on whether a window sample at step 0.02 hit
+    # the peak: the first passed with a budget of 8e5, the second did not
+    (("verify-explicit-formula", "--f", "loggauss(1,0.3,1e-6)",
+      "--zeros", "auto:60"), "holds no mass"),
+    (("verify-explicit-formula", "--f", "loggauss(1,0.31,1e-6)",
+      "--zeros", "auto:60"), "holds no mass"),
 ])
 def test_cli_tiny_width_warns_nothing(tmp_path, monkeypatch, argv, reason):
     # (u - mu)^2 / 2 sigma^2 overflows for sigma below about 1e-150

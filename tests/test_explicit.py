@@ -6,10 +6,10 @@ import pytest
 
 from weiltrace import (BudgetExceededError, DisagreementError, LogGaussian,
                        LogSpline, QuadratureSpec, TruncationSpec, W_infty,
-                       W_prime_total, apply_J, archimedean_constant, digamma,
-                       find_zeros, mellin, parse_function, primes_up_to,
-                       pv_regularised, spectral_parts,
-                       verify_explicit_formula)
+                       W_prime_total, WindowError, apply_J,
+                       archimedean_constant, digamma, find_zeros, mellin,
+                       parse_function, primes_up_to, pv_regularised,
+                       spectral_parts, verify_explicit_formula)
 from weiltrace import explicit
 from weiltrace.families import log_step
 from weiltrace.grids import trapezoid
@@ -278,6 +278,21 @@ def test_W_infty_closed_form_heights():
     assert WORK["mellin_heights"] % 2 == 1
 
 
+@pytest.mark.parametrize("f, heights", [(LogGaussian(1.0, 0.0, 1.0), 233),
+                                        (LogSpline(1.0, 0.5, 2.0, 8), 52299)])
+def test_critical_line_is_one_closed_form_call(monkeypatch, f, heights):
+    # the cut comes from f.visible_height(1e-18) alone: no sample of f
+    # on a u-grid, and one call of M f, with no probes
+    family, calls = type(f), []
+    closed = family.mellin_closed
+    monkeypatch.setattr(family, "of_log", lambda g, u: pytest.fail("f"))
+    monkeypatch.setattr(family, "mellin_closed",
+                        lambda g, s: calls.append(np.size(s)) or closed(g, s))
+    r, _, _ = explicit._critical_line(f)
+    assert calls == [r.size] == [heights]
+    assert r[-1] >= f.visible_height(1e-18) > r[-3]
+
+
 def test_W_infty_closed_form_matches_the_fft():
     # the closed form against the FFT's Mellin values on the same heights
     # and weight, over the whole ladder of grid sizes
@@ -291,25 +306,41 @@ def test_W_infty_closed_form_matches_the_fft():
             assert abs(value - fft) <= 1e-13 * max(1.0, abs(value)), f
 
 
+_CHUNK = 1 << 18      # heights per array call, to keep temporaries small
+
+
 @functools.lru_cache(maxsize=1)
-def _long_digamma_weight(r_max=2e5, step=0.1):
-    r = np.linspace(0.0, r_max, int(round(r_max / step)) + 1)
-    return r, math.log(math.pi) - digamma(0.25 + 0.5j * r).real
+def _long_digamma_weight(r_max=2e5, step=0.05):
+    r = np.arange(int(round(r_max / step)) + 1) * step
+    return r, np.concatenate([
+        math.log(math.pi) - digamma(0.25 + 0.5j * r[i:i + _CHUNK]).real
+        for i in range(0, r.size, _CHUNK)])
+
+
+def _long_digamma_form(f):
+    r, w = _long_digamma_weight()
+    parts = [np.sum(f.mellin_closed(0.5 + 1j * r[i:i + _CHUNK]).real
+                    * w[i:i + _CHUNK]) for i in range(0, r.size, _CHUNK)]
+    ends = f.mellin_closed(0.5 + 1j * r[[0, -1]]).real * w[[0, -1]]
+    return (math.fsum(parts) - 0.5 * float(ends.sum())) * r[1] / math.pi
 
 
 @pytest.mark.parametrize("c, h, order", [(0.0, 0.5, 4), (0.0, 0.5, 6),
                                          (0.0, 0.5, 8), (0.3, 0.2, 8)])
 def test_W_infty_estimate_covers_the_heights_above_the_cut(c, h, order):
-    # Weil's form integrated to r = 2e5 at step 0.1, where the integrand
-    # is below 1e-14 of its integral; W_infty stops at r_max <= 2513
+    # Weil's form integrated to r = 2e5, where the integrand is below
+    # 1e-14 of its integral, at step 0.05: the trapezoid's first alias, at
+    # |u| = 2 pi / 0.05 > 120, is below 1e-26 (at step 0.1 it was 2e-14);
+    # W_infty stops at r_max <= 2513
     f = LogSpline(1.0, math.exp(c - 0.5 * order * h),
                   math.exp(c + 0.5 * order * h), order)
-    r, w = _long_digamma_weight()
-    want = float(trapezoid(f.mellin_closed(0.5 + 1j * r).real * w,
-                           r[1])) / math.pi
+    want = _long_digamma_form(f)
     value, est, _ = W_infty(f)
     error = abs(value - want)
     assert error <= est + 1e-14 * max(1.0, abs(value))
+    # and within 100 x of the error: the cut sits past the envelope's
+    # 1e-18 height, not at a probe on a near-zero of M f
+    assert est <= 100.0 * max(error, 1e-16)
     if order == 4:
         # negative control: one sample at r_max, |integrand| r_max / pi,
         # in place of the envelope's tail reads 3.8e-12 against 2.0e-9
@@ -344,9 +375,14 @@ def test_digamma_weight_is_below_its_stated_envelope():
     assert np.max(r * (w - np.log(r))) > 2.0      # 2.2 is nearly tight
 
 
+@pytest.mark.filterwarnings("error")
 def test_pv_regularised_far_off_window():
-    # the window is clamped to |ln x| <= 60, so expm1 cannot overflow
-    assert np.isfinite(pv_regularised(LogGaussian(1.0, 800.0, 1.0)))
+    # the window is clamped to |ln x| <= 60, so expm1 cannot overflow, and
+    # a grid on which every sample is 0 is no principal value of 0
+    for f in (LogGaussian(1.0, 800.0, 1.0), LogGaussian(1.0, 0.31, 1e-6),
+              LogSpline(1.0, 1e30, 1e31, 8)):
+        with pytest.raises(WindowError, match="holds no mass"):
+            pv_regularised(f)
 
 
 @pytest.mark.parametrize("expr, value, bound, powers", [

@@ -187,6 +187,19 @@ def test_gauss2_values():
     assert g.at_zero() == 2.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_parity_function_underflows_to_zero_far_out(degree):
+    # past |x| ~ 1e154, x^2 overflows and e^{-pi x^2} is 0: a degree-2
+    # term read inf * 0 = NaN, with an overflow warning
+    f = ParityFunction(1 - 2 * (degree % 2), ((2.0, degree, 1.0),))
+    x = np.array([1e300, -1e300, 1e160, 0.5])
+    got = f(x)
+    assert np.all(got[:3] == 0.0) and f(1e300) == 0.0
+    assert got[3] == pytest.approx(2.0 * 0.5 ** degree
+                                   * math.exp(-0.25 * math.pi), rel=1e-15)
+
+
 def test_parity_symmetry():
     g_even, g_odd = gaussian_even(), gaussian_odd()
     x = np.linspace(-3, 3, 41)
@@ -319,6 +332,31 @@ def test_logspline_envelope_bounds_the_critical_line(f):
     got = np.abs(f.mellin_closed(0.5 + 1j * t))
     bound = np.array([f._envelope(abs(complex(0.5, x))) for x in t])
     assert np.all(got <= bound * (1.0 + 1e-12))
+
+
+_DECAYING = [LogGaussian(1.0, 0.3, 0.9), LogGaussian(-2.0, -1.0, 0.15),
+             LogSpline(1.0, 0.5, 2.0, 8), LogSpline(1.0, 0.7, 1.5, 3),
+             LogSpline(-3.0, 2.0, 9.0, 12), LogSpline(1.0, 0.9, 1.1, 6)]
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-12, 1e-18])
+@pytest.mark.parametrize("f", _DECAYING)
+def test_visible_height_bounds_the_critical_line(f, eps):
+    # |M f(1/2 + i r)| < eps |M f(1/2)| for every r above the height
+    top = f.visible_height(eps)
+    r = top * np.concatenate((np.linspace(1.0, 10.0, 40001),
+                              np.exp(np.linspace(math.log(10.0), 12.0, 2001))))
+    got = np.abs(f.mellin_closed(0.5 + 1j * r))
+    assert np.all(got <= eps * abs(f.mellin_closed(0.5)) * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-18])
+@pytest.mark.parametrize("f", _DECAYING[:2])
+def test_visible_height_is_exact_for_log_gaussians(f, eps):
+    # negative control: at 0.9 of the height, |M f| = eps^0.81 |M f(1/2)|
+    r = 0.9 * f.visible_height(eps) * np.linspace(0.99, 1.0, 11)
+    got = np.abs(f.mellin_closed(0.5 + 1j * r))
+    assert np.any(got > eps * abs(f.mellin_closed(0.5)))
 
 
 def test_logspline_mellin_overflow_is_a_window_error():
