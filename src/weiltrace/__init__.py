@@ -14,9 +14,8 @@ from .errors import (BudgetExceededError, CountMismatchError,
                      WindowError)
 from .families import (LogGaussian, LogSpline, ParityFunction, apply_J,
                        gaussian_even, gaussian_odd, scale)
-from .grids import QuadratureSpec, cinf_step
-from .transforms import (fourier, haar_real_cross, mellin, mellin_parity,
-                         pair_log_fourier)
+from .grids import cinf_step
+from .transforms import fourier, haar_real_cross, mellin, pair_log_fourier
 from .special import (EULER_GAMMA, digamma, gamma, hardy_z, hurwitz_zeta,
                       l_chi, loggamma, rs_theta, xi, zero_count_estimate,
                       zeta, zeta_tail)

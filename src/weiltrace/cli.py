@@ -36,7 +36,7 @@ from .operators import (TruncationSpec, character, poisson_check,
 from .special import l_chi, xi, zeta
 from .traces import AuxiliaryPhi, LogGridSpec, phi_log_identity, \
     toeplitz_trace_check
-from .transforms import mellin, mellin_parity
+from .transforms import mellin
 from .families import ParityFunction, TestFunction
 from .zeros import find_zeros, load_zeros, save_zeros
 
@@ -162,9 +162,7 @@ def _values_command(cfg: dict) -> tuple[dict, bool]:
     try:
         with np.errstate(all="ignore"):
             if cmd == "mellin":
-                f = parse_function(_required(cfg, "f"))
-                mv = (mellin_parity if isinstance(f, ParityFunction)
-                      else mellin)(f, s)
+                mv = mellin(parse_function(_required(cfg, "f")), s)
                 out = {"value": mv.value, "est_error": mv.est_error}
             elif cmd == "xi":    # xi, zeta and gamma_factor
                 out = {k: v for k, v in vars(xi(s)).items() if k != "s"}

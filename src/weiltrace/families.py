@@ -24,12 +24,15 @@ mu + s sigma^2, sigma), which gives J in closed form.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TailBoundError, WindowError
+from .errors import (DivergentIntegralError, DomainError, TailBoundError,
+                     WindowError)
+from .special import loggamma
 
 # log_step: steps per unit of f's width in ln x, and the smallest step (a
 # step of 1/1024 with two Richardson steps leaves 8e-10 in the principal
@@ -42,6 +45,17 @@ _PSI_SLOPE = 1.03883
 # ln r + 2.2 / r, r > 0: r (|w| - ln r) peaks at 2.10 near r = 0.73, and
 # |w(r)| -> ln(r / 2 pi) as r grows.
 _WEIGHT_SLACK = 2.2
+# Unit roundoff and smallest subnormal of binary64.  The Mellin rounding
+# bounds take u per rounding, sqrt(5) u per complex product and 1 ulp =
+# 2 u per exp, log, sin, cos, sinh, cosh (Higham, Accuracy and Stability
+# of Numerical Algorithms, ch. 3), and for a rounding into the subnormals
+# 2^-1074 times the factors that multiply it later.
+_U, _TINY = 2.0 ** -53, math.ulp(0.0)
+
+
+def _rounding(rel: float, size: float, floor: float) -> float:
+    """rel u size + floor 2^-1074, and 0 for the first where size is 0."""
+    return float((rel * _U * size if size else 0.0) + floor * _TINY)
 
 
 def _rung(t: float, rounding=math.ceil):
@@ -112,8 +126,20 @@ class TestFunction:
         raise NotImplementedError
 
     def mellin_closed(self, s: complex):
-        """(M f)(s) in closed form, elementwise on an array s;
-        WindowError when it overflows."""
+        """(M f)(s) in closed form, the product of _mellin_factors(s),
+        elementwise on an array s; WindowError when it overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = math.prod(self._mellin_factors(s))
+        if not np.all(np.isfinite(m)):
+            raise WindowError(f"the Mellin transform of {self!r} overflows")
+        return m
+
+    def _mellin_factors(self, s) -> tuple:
+        """Factors whose product is (M f)(s), elementwise on an array s."""
+        raise NotImplementedError
+
+    def mellin_rounding(self, s: complex) -> float:
+        """A bound on mellin_closed(s)'s rounding at a finite scalar s."""
         raise NotImplementedError
 
 
@@ -196,14 +222,22 @@ class LogGaussian(TestFunction):
     def log_scale(self):
         return self.width
 
-    def mellin_closed(self, s):
-        # int a exp(-(u-mu)^2/2s^2) e^{su} du, which may overflow alone
-        a, c, e = self.amplitude, math.sqrt(2.0 * math.pi) * self.width, (
-            s * self.center + 0.5 * (self.width * s) ** 2)
-        top = e.real.max() if isinstance(e, np.ndarray) else e.real
-        if top > 709.0 or abs(a) * c * math.exp(top) == math.inf:
-            raise WindowError(f"the Mellin transform of {self!r} overflows")
-        return a * c * np.exp(e)
+    def _mellin_factors(self, s):
+        # int a exp(-(u-mu)^2/2s^2) e^{su} du = a sqrt(2 pi) sigma e^E,
+        # E = s mu + (sigma s)^2 / 2
+        with np.errstate(all="ignore"):
+            return (self.amplitude * (math.sqrt(2.0 * math.pi) * self.width),
+                    np.exp(s * self.center + 0.5 * np.square(self.width * s)))
+
+    def mellin_rounding(self, s):
+        # E is off by (2 |s mu| + (3 + sqrt 5) |sigma s|^2 / 2) u, and so is
+        # e^E relatively; a sqrt(2 pi) sigma, exp, cos, sin and the product
+        # add 9.2 u; a c, exp(Re E), its product with cos and the last one
+        # may round into the subnormals.
+        ac, ee = map(abs, self._mellin_factors(s))
+        ws = abs(self.width * s)
+        return _rounding(10.0 + 2.0 * abs(s * self.center) + 2.65 * ws * ws,
+                         ac * ee, ee + 2.0 * ac + 2.0)
 
 
 @dataclass(frozen=True)
@@ -304,15 +338,29 @@ class LogSpline(TestFunction):
     def log_scale(self):
         return (math.log(self.hi) - math.log(self.lo)) / self.order
 
-    def mellin_closed(self, s):
-        # sinh(z) / z = sinc(i z / pi), which np.sinc takes as 1 at z = 0
+    def _mellin_factors(self, s):
+        # a h, e^{sc} and (sinh(z) / z)^K, z = sh/2, with sinh(z) / z =
+        # sinc(i z / pi), which np.sinc takes as 1 at z = 0
         h = self.log_scale()
         with np.errstate(over="ignore", invalid="ignore"):
-            m = self.amplitude * h * np.exp(s * self._centre()) \
-                * np.sinc(s * (0.5j * h / math.pi)) ** self.order
-        if not np.all(np.isfinite(m)):
-            raise WindowError(f"the Mellin transform of {self!r} overflows")
-        return m
+            return (self.amplitude * h, np.exp(s * self._centre()),
+                    np.sinc(s * (0.5j * h / math.pi)) ** self.order)
+
+    def mellin_rounding(self, s):
+        # In units of u, lam = |ln lo| + |ln hi|: h is off by 2 lam / K h
+        # + 2, c by lam + |c|, so e^{sc} by |s| (lam + 2 |c|) + 5; z by 3.7
+        # more than h, so sinh(z) / z by that times 1 + |z coth z| (large
+        # near sinh's zeros); sin, the quotient and the power add 16.3 to
+        # each of the K factors, the last products 4.3.
+        k, h, c = self.order, self.log_scale(), self._centre()
+        lam = abs(math.log(self.lo)) + abs(math.log(self.hi))
+        z = 0.5 * h * complex(s)
+        zcothz = abs(z / cmath.tanh(z)) if z else 1.0
+        ah, esc, sk = map(abs, self._mellin_factors(s))
+        return _rounding(
+            (2.0 * lam / (k * h) + 6.0) * (1.0 + k * (1.0 + zcothz))
+            + 17.0 * k + 10.0 + abs(s) * (lam + 2.0 * abs(c)),
+            ah * esc * sk, 2.0 + sk * (2.0 + 2.0 * ah + esc) + 8.0 * ah * esc)
 
 
 def _psi_tail(a: float, c: float, sig: float, k: int, log_x: float):
@@ -397,6 +445,29 @@ class ParityFunction:
 
     def at_zero(self) -> complex:
         return sum(c for c, k, _ in self.terms if k == 0)
+
+    def _mellin_terms(self, s: complex) -> list:
+        """M(c x^k e^{-a pi x^2})(s) = c Gamma((s+k)/2) (a pi)^{-(s+k)/2}
+        / 2 per term, as one exp of ln Gamma, which underflows to 0 at large
+        |Im s| (Gamma alone is 0 times inf); DivergentIntegralError unless
+        Re(s) + k_min > 0 (the lowest degree), where it converges at 0."""
+        k_min = min(deg for _, deg, _ in self.terms)
+        if s.real + k_min <= 0.05:
+            raise DivergentIntegralError(
+                f"Mellin integral diverges at 0: Re(s) + k_min = "
+                f"{s.real + k_min:.3f} <= 0 (need > 0, with margin)")
+        with np.errstate(all="ignore"):
+            return [0.5 * c * np.exp(loggamma(0.5 * (s + k))
+                                     - 0.5 * (s + k) * math.log(a * math.pi))
+                    for c, k, a in self.terms]
+
+    def mellin_closed(self, s: complex) -> complex:
+        with np.errstate(all="ignore"):
+            return complex(sum(self._mellin_terms(complex(s))))
+
+    def mellin_rounding(self, s: complex) -> float:
+        # special's stated 1e-13 accuracy for Gamma, not a proven bound
+        return 1e-13 * float(sum(map(abs, self._mellin_terms(complex(s)))))
 
     def lattice_start(self, x: float) -> int:
         """As TestFunction.lattice_start: past every term's peak."""

@@ -1,5 +1,4 @@
-"""Quadrature specifications and the one trapezoid rule with its error
-estimate.
+"""The one trapezoid rule with its error estimate, and a C-infinity step.
 
 All integrals over the multiplicative half-line use the Haar measure
 d×x = dx/x, which becomes Lebesgue measure du under u = ln x.  For smooth
@@ -14,33 +13,7 @@ evaluation of the integrand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Log-coordinate window [u_min, u_max] with n_points (odd, so the
-    every-other-point subgrid spans the same window)."""
-
-    u_min: float = -40.0
-    u_max: float = 40.0
-    n_points: int = 4001
-
-    def __post_init__(self):
-        if not self.u_min < self.u_max:
-            raise ValueError("u_min must be < u_max")
-        if self.n_points < 16:
-            raise ValueError("n_points must be at least 16")
-        if self.n_points % 2 == 0:
-            raise ValueError("n_points must be odd")
-
-    def u_grid(self) -> tuple[np.ndarray, float]:
-        """(grid, exact step); the step is not recomputed from two
-        rounded grid points."""
-        return np.linspace(self.u_min, self.u_max, self.n_points,
-                           retstep=True)
 
 
 def trapezoid(values: np.ndarray, spacing: float) -> complex:

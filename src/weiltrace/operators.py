@@ -396,8 +396,8 @@ def zspectral_check(f: TestFunction, s: complex) -> float:
     The left side is assembled termwise: M(Z f)(s) = sum n^{-s} M f(s),
     with the Dirichlet series summed to an independent truncation point
     and completed by the Euler-Maclaurin tail; the right side calls the
-    zeta evaluator.  Both share the quadrature value of M f(s), so the
-    check isolates the operator identity rather than quadrature error.
+    zeta evaluator.  Both share f's closed-form M f(s), so the check
+    isolates the operator identity.
     |M f(s)| reaches 7e3 for loggauss(1,0,1) at s = 4, where the
     rounding of zeta(s) alone (4e-16) made the unscaled residual 5e-12.
     """
@@ -405,7 +405,7 @@ def zspectral_check(f: TestFunction, s: complex) -> float:
     if s.real <= 1.0:
         raise ValueError("identity check needs Re s > 1")
     fhat = mellin(f, s).value
-    m = max(50, 2 * math.ceil(abs(s.imag)))
+    m = max(50.0, 2.0 * math.ceil(abs(s.imag)))   # a float: inf past 1e308
     dirichlet = (complex(_ragged_sum([m], lambda _, n: n ** -s)[0])
                  + zeta_tail(m, s))
     rhs = zeta(s) * fhat

@@ -55,6 +55,9 @@ _THETA_SERIES = tuple((1 - 2.0 ** (1 - 2 * k)) * abs(b) / (8 * k * k - 4 * k)
 _TWO_PI = 8 * np.arctan(np.longdouble(1))   # reduces phases before rounding
 
 EULER_GAMMA = 0.5772156649015328606
+# The most terms _ragged_sum takes for one point, past TruncationSpec's
+# n_max = 1e5 (zeta at 1/2 + 1e10 i asked for 1e10 terms, 149 GiB).
+MAX_TERMS = 1 << 21
 # Largest imaginary part of e^{i theta} zeta(1/2 + it), relative to
 # max(1, |Z|), that Z(t) accepts as rounding.
 _Z_IMAG_TOL = 1e-9
@@ -138,7 +141,10 @@ def digamma(z):
 def _ragged_sum(counts, terms) -> np.ndarray:
     """sum_{m <= counts[i]} of point i's terms, all from one call terms(rep,
     m) on the flat (point, m = 1, 2, ...) grid, rep repeating per-point
-    arrays, summed by np.add.reduceat (0 for a zero count)."""
+    arrays, summed by np.add.reduceat (0 for a zero count).  ValueError,
+    before any allocation, for a count past MAX_TERMS."""
+    if np.any(np.asarray(counts, dtype=float) > MAX_TERMS):
+        raise ValueError(f"a point asks for more than {MAX_TERMS} terms")
     counts = np.asarray(counts, dtype=np.int64)
     starts = np.cumsum(counts) - counts
     m = np.arange(1, counts.sum() + 1) - np.repeat(starts, counts)
@@ -180,7 +186,7 @@ def _euler_maclaurin(s, a) -> np.ndarray:
     all in one _ragged_sum, then zeta_tail."""
     shape = np.broadcast_shapes(np.shape(s), np.shape(a))
     s, a = (np.broadcast_to(x, shape).ravel() for x in (s, a))
-    n_terms = np.maximum(20, np.ceil(np.abs(s.imag))).astype(np.int64)
+    n_terms = np.maximum(20, np.ceil(np.abs(s.imag)))
     partial = _ragged_sum(
         n_terms, lambda rep, n: np.exp(-rep(s) * np.log(n - 1 + rep(a))))
     return (partial + zeta_tail(n_terms - 1 + a, s)).reshape(shape)

@@ -86,7 +86,7 @@ class LogGridSpec:
                              "0 < half_width < inf")
 
     def u_grid(self) -> tuple[np.ndarray, float]:
-        """(grid, exact step), as QuadratureSpec.u_grid."""
+        """(grid, exact step), not a step recomputed from rounded points."""
         return np.linspace(-self.half_width, self.half_width,
                            self.n_points, retstep=True)
 

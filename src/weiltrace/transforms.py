@@ -9,7 +9,7 @@ so it is exact up to arithmetic rounding.
 
 The Mellin transform uses the multiplicative-Haar normalisation
     (M f)(s) = integral_0^inf f(x) x^s dx/x;
-``mellin`` is a quadrature, independent of the families' closed forms.
+``mellin`` is each family's closed form with its stated rounding bound.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergentIntegralError, WindowError
+from .errors import WindowError
 from .families import ParityFunction, TestFunction
-from .grids import QuadratureSpec, trapezoid, trapezoid_with_coarse
-from .special import loggamma
+from .grids import trapezoid, trapezoid_with_coarse
 
 
 def fourier(f: ParityFunction) -> ParityFunction:
@@ -52,68 +51,21 @@ def fourier(f: ParityFunction) -> ParityFunction:
 
 @dataclass(frozen=True)
 class MellinValue:
-    """A Mellin-transform evaluation with an a-posteriori error estimate."""
+    """A Mellin-transform value with a bound on its rounding error."""
     s: complex
     value: complex
     est_error: float
 
 
-def mellin(f: TestFunction, s: complex, q: QuadratureSpec | None = None,
-           ) -> MellinValue:
-    """(M f)(s) by trapezoid quadrature on a logarithmic grid.
-
-    In u = ln x the integrand f(e^u) e^{s u} is smooth with (for the
-    supported families) fast decay, so the trapezoid rule is spectrally
-    accurate.  The error estimate compares against the half-resolution
-    grid.  WindowError when an end sample is not negligible against the
-    peak, when every sample is 0 (the mass, if any, lies outside the
-    window), or when one is not finite (e^{s u} overflows for huge s).
-    """
-    s, q = complex(s), q or QuadratureSpec()
-    u, h = q.u_grid()
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = f.of_log(u) * np.exp(s * u)
-        scale = float(np.max(np.abs(vals)))
-    if not 0.0 < scale < math.inf:
-        raise WindowError(f"Mellin window [{q.u_min}, {q.u_max}] " + (
-            "holds no mass: every sample is 0" if scale == 0.0
-            else f"has a non-finite sample at s = {s}"))
-    edge = max(abs(vals[0]), abs(vals[-1]))
-    if edge > 1e-13 * scale:
-        raise WindowError(
-            f"Mellin window [{q.u_min}, {q.u_max}] truncates mass: "
-            f"edge/peak = {edge / scale:.3e}")
-    fine, coarse = trapezoid_with_coarse(vals, h)
-    return MellinValue(s=s, value=complex(fine), est_error=abs(
-        complex(fine) - complex(coarse)) + 10.0 * edge * h)
-
-
-def mellin_parity(f: ParityFunction, s: complex) -> MellinValue:
-    """integral_0^inf f(x) x^s dx/x for a Gaussian-polynomial function,
-    term by term as M(x^k e^{-a pi x^2})(s) = Gamma((s+k)/2) (a pi)^{-(s+k)/2}
-    / 2, taken as one exp of ln Gamma so that it underflows to 0 at large
-    |Im s| (where Gamma alone is 0 times infinity).
-
-    It converges at x = 0 when Re(s) + k_min > 0, k_min the lowest
-    degree; else DivergentIntegralError.  est_error is 1e-13 of the
-    terms' moduli, ``special``'s stated accuracy for Gamma, not a proven
-    bound.  A value that is not finite (huge s) raises WindowError."""
+def mellin(f: TestFunction | ParityFunction, s: complex) -> MellinValue:
+    """(M f)(s): f's closed form, with est_error the rounding bound f
+    states for it; WindowError when the value is not finite (huge s)."""
     s = complex(s)
-    k_min = min(deg for _, deg, _ in f.terms)
-    if s.real + k_min <= 0.05:
-        raise DivergentIntegralError(
-            f"Mellin integral diverges at 0: Re(s) + k_min = "
-            f"{s.real + k_min:.3f} <= 0 (need > 0, with margin)")
-    with np.errstate(all="ignore"):
-        terms = [0.5 * c * np.exp(loggamma(0.5 * (s + k))
-                                  - 0.5 * (s + k) * math.log(alpha * math.pi))
-                 for c, k, alpha in f.terms]
-        value = complex(sum(terms))
+    value = complex(f.mellin_closed(s))
     if not cmath.isfinite(value):
         raise WindowError(f"the Mellin transform of {f!r} is not finite "
                           f"at s = {s}")
-    return MellinValue(s=s, value=value,
-                       est_error=1e-13 * float(sum(map(abs, terms))))
+    return MellinValue(s=s, value=value, est_error=f.mellin_rounding(s))
 
 
 def _folded_log_grid(g, x_max: float, n_points: int = 4001):

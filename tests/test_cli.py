@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 
@@ -343,12 +344,20 @@ def test_cli_closed_pipe_no_traceback():
     assert "Traceback" not in err
 
 
-def _cli_process(*argv, timeout=60):
+def _cli_process(*argv, timeout=60, memory=None):
+    """The CLI in a child process, its address space capped at memory
+    bytes when given (with one BLAS thread, whose buffers count too)."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    cap = None
+    if memory:
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = "1"
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
     return subprocess.run([sys.executable, "-m", "weiltrace.cli", *argv],
                           capture_output=True, text=True, env=env,
-                          timeout=timeout)
+                          timeout=timeout, preexec_fn=cap)
 
 
 @pytest.mark.parametrize("argv", [
@@ -509,7 +518,8 @@ _HUGE_X = (
 
 
 @pytest.mark.parametrize("argv", [
-    ("mellin", "--f", "loggauss(1,0,4)", "--s", "3"),
+    # e^{sigma^2 s^2 / 2} = e^7200 overflows in the closed form
+    ("mellin", "--f", "loggauss(1,0,4)", "--s", "30"),
     ("check-trace-lemma", "--f0", "loggauss(1,0,0.7)",
      "--f1", "loggauss(1,0.3,0.9)", "--window", "2"),
     # one function has no mass on the lag window: both sides would be 0
@@ -578,15 +588,16 @@ def test_cli_trace_tolerance_scales_with_amplitude(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("argv", [
-    ("mellin", "--f", "loggauss(1,800,1)", "--s", "0.5,1"),
+    ("verify-explicit-formula", "--f", "loggauss(1,-800,1)",
+     "--zeros", "auto:60", "--primes", "10000"),
     ("verify-explicit-formula", "--f", "loggauss(1,800,1)",
      "--zeros", "auto:60", "--primes", "10000"),
     ("verify-explicit-formula", "--f", "logspline(1,1e30,1e31,8)",
      "--zeros", "auto:60", "--primes", "10000"),
 ])
 def test_cli_mass_outside_mellin_window(tmp_path, monkeypatch, argv):
-    # every sample in the Mellin window is 0, which used to read as a
-    # transform of 0 with no error (and W_infty = 0)
+    # every sample on the principal value's grid is 0, which used to
+    # read as W_infty = 0 with no error
     monkeypatch.setenv("WEILTRACE_CACHE", str(tmp_path))
     status, report = _run(tmp_path, *argv)
     assert status == 3
@@ -610,8 +621,8 @@ def test_cli_mass_outside_mellin_window_warns_nothing(tmp_path, monkeypatch):
 @pytest.mark.parametrize("argv, reason", [
     (("verify-explicit-formula", "--f", "loggauss(1,0.3,1e-160)",
       "--zeros", "auto:60"), "holds no mass"),
-    (("mellin", "--f", "loggauss(1,0.3,1e-160)", "--s", "0.5,1"),
-     "holds no mass"),
+    (("check-trace-lemma", "--f0", "loggauss(1,0.3,1e-160)",
+      "--f1", "loggauss(1,0,1)"), "holds no mass"),
     (("check-trace-lemma", "--f0", "loggauss(1,0,1)",
       "--f1", "loggauss(1,0.3,1e-160)"), "holds no mass"),
     (("check-trace-lemma", "--f0", "loggauss(1,0,1)",
@@ -630,6 +641,48 @@ def test_cli_tiny_width_warns_nothing(tmp_path, monkeypatch, argv, reason):
     assert status == 3
     assert report["outputs"]["error_type"] == "WindowError"
     assert reason in report["outputs"]["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    # a width the u-window truncated, a function outside the window and
+    # one narrower than its step: each exited 3, and mellin now gives
+    # the closed form
+    ("mellin", "--f", "loggauss(1,0,4)", "--s", "3"),
+    ("mellin", "--f", "loggauss(1,0,5)", "--s", "0.5"),
+    ("mellin", "--f", "loggauss(1,800,1)", "--s", "0.5,1"),
+    ("mellin", "--f", "loggauss(1,0.3,1e-160)", "--s", "0.5,1"),
+])
+@pytest.mark.filterwarnings("error")
+def test_cli_mellin_of_wide_far_and_narrow_functions(tmp_path, capfd, argv):
+    mpmath = pytest.importorskip("mpmath")
+    status, report = _run(tmp_path, *argv)
+    assert status == 0
+    f, s = parse_function(argv[2]), complex(*map(float, argv[4].split(",")))
+    with mpmath.workdps(40):
+        mu, sig = mpmath.mpf(f.center), mpmath.mpf(f.width)
+        want = complex(mpmath.sqrt(2 * mpmath.pi) * sig * mpmath.exp(
+            s * mu + (sig * s) ** 2 / 2))
+    out = report["outputs"]
+    got = complex(out["value"]["re"], out["value"]["im"])
+    assert abs(got - want) <= out["est_error"] <= 1e-12 * abs(want)
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("zeta", "--s", "0.5,1e10"),
+    ("lchi", "--modulus", "3", "--index", "1", "--s", "0.5,1e10"),
+    ("xi", "--s", "0.5,1e10"),
+    ("check-zspectral", "--f", "loggauss(1,0,1)", "--s", "2,1e10"),
+])
+def test_cli_term_count_past_the_cap_is_config_error(argv):
+    # each asked for 74.5-149 GiB of terms and ended in a MemoryError
+    # traceback; the child's address space is capped at 2 GiB, so that a
+    # regression fails fast
+    proc = _cli_process(*argv, memory=2 << 30)
+    assert (proc.returncode, proc.stderr) == (2, "")
+    outputs = json.loads(proc.stdout)["outputs"]
+    assert outputs == {"error": "a point asks for more than 2097152 terms",
+                       "error_type": "ValueError"}
 
 
 @pytest.mark.parametrize("argv", [

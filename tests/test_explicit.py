@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from weiltrace import (BudgetExceededError, DisagreementError, LogGaussian,
-                       LogSpline, QuadratureSpec, TruncationSpec, W_infty,
-                       W_prime_total, WindowError, apply_J,
-                       archimedean_constant, digamma, find_zeros, mellin,
-                       parse_function, primes_up_to, pv_regularised,
-                       spectral_parts, verify_explicit_formula)
+                       LogSpline, TruncationSpec, W_infty, W_prime_total,
+                       WindowError, apply_J, archimedean_constant, digamma,
+                       find_zeros, parse_function, primes_up_to,
+                       pv_regularised, spectral_parts, verify_explicit_formula)
 from weiltrace import explicit
 from weiltrace.families import log_step
 from weiltrace.grids import trapezoid
@@ -167,22 +166,22 @@ def test_W_infty_narrow_log_gaussians(mu, sigma):
 
 def _fft_critical_line(f):
     """(r, M f(1/2 + i r)): the trapezoid sums of f(e^u) e^{u/2} e^{iru}
-    on the n-point QuadratureSpec() grid of step h, at r_k = 2 pi k /
+    on the n-point grid of [-40, 40], of step h, at r_k = 2 pi k /
     (m h), k < n, from one FFT of length m = 2 (n - 1); n doubles from
     4001 up to 64001 while |M f(1/2 + i pi / h)| exceeds 1e-13 of its
     peak.  This was W_infty's route for a family with no closed form."""
-    q = QuadratureSpec()
+    n = 4001
     while True:
-        u, h = q.u_grid()
+        u, h = np.linspace(-40.0, 40.0, n, retstep=True)
         g = f.of_log(u) * np.exp(0.5 * u)
         g[[0, -1]] *= 0.5
         m = 2 * (u.size - 1)
         r = np.arange(u.size) * (2.0 * math.pi / (m * h))
         values = h * np.exp(1j * r * u[0]) * np.fft.ifft(g, n=m)[:u.size] * m
         if (abs(values[-1]) <= 1e-13 * np.max(np.abs(values))
-                or q.n_points >= 64001):
+                or n >= 64001):
             return r, values
-        q = QuadratureSpec(n_points=2 * q.n_points - 1)
+        n = 2 * n - 1
 
 
 @pytest.mark.parametrize("f, n_points", [(LogGaussian(1.0, 0.0, 1.0), 4001),

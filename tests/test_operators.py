@@ -337,6 +337,9 @@ def test_zspectral_residual_is_relative():
     # 5.1e-12, the rounding of zeta(s) times |M f(s)|.
     f = LogGaussian(1.0, 0.0, 1.0)
     assert zspectral_check(f, complex(4.0, -0.1)) < 1e-14
+    # M f(2) = 6.5e22, from the closed form: the u-window of [-40, 40]
+    # truncated this f's mass
+    assert zspectral_check(LogGaussian(1.0, 0.0, 5.0), 2.0) < 1e-14
 
 
 def test_apply_L_chi_parity_mismatch():
