@@ -24,7 +24,7 @@ import numpy as np
 from .errors import (NonPrimitiveCharacterError, ParityMismatchError,
                      TailBoundError)
 from .families import ParityFunction, TestFunction
-from .special import _ragged_sum, zeta, zeta_tail
+from .special import _dirichlet, _ragged_sum, zeta, zeta_tail
 from .transforms import fourier, mellin
 
 
@@ -406,8 +406,7 @@ def zspectral_check(f: TestFunction, s: complex) -> float:
         raise ValueError("identity check needs Re s > 1")
     fhat = mellin(f, s).value
     m = max(50.0, 2.0 * math.ceil(abs(s.imag)))   # a float: inf past 1e308
-    dirichlet = (complex(_ragged_sum([m], lambda _, n: n ** -s)[0])
-                 + zeta_tail(m, s))
+    dirichlet = complex(_dirichlet(s, [m])[0]) + zeta_tail(m, s)
     rhs = zeta(s) * fhat
     return abs(dirichlet * fhat - rhs) / max(1.0, abs(rhs))
 

@@ -4,9 +4,9 @@ Zeros are found as sign changes of the Hardy Z-function on a fine scan
 grid, refined by a safeguarded secant method, and the count is
 cross-checked against the Riemann-von Mangoldt estimate so that a missed
 pair of close zeros (or a spurious double-count) is an error, not a
-silent wrong answer.  special.hardy_z_scan gives Z on the grid (one
-matrix product) and, from the same terms, at the probe pair of every
-bracket still wider than the precision in each refinement round.
+silent wrong answer.  special.hardy_z_scan gives Z on the grid (from
+tables built once per process) and, from the same terms, at the probe
+pair of every bracket still wider than the precision in each round.
 """
 
 from __future__ import annotations

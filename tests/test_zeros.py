@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -24,6 +29,27 @@ def test_find_zeros_low_height(table30):
     for got, want in zip(table30.ordinates, FIRST_THREE):
         assert got == pytest.approx(want, abs=1e-8)
     assert table30.source == "computed"
+
+
+def _fresh_ordinates(height):
+    """find_zeros(height), the first call of a new interpreter."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import json; from weiltrace import find_zeros; "
+            f"print(json.dumps(find_zeros({height!r}).ordinates))")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                          capture_output=True, text=True, timeout=120)
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("height", [20.0, 60.0, 97.3, 120.0])
+def test_find_zeros_does_not_depend_on_earlier_calls(height):
+    # the scan's tables are built once per process, for t <= 120, and
+    # each call slices them: no earlier height may change a later table
+    fresh = _fresh_ordinates(height)
+    find_zeros(120.0)
+    find_zeros(20.0)
+    assert list(find_zeros(height).ordinates) == fresh
 
 
 def test_table_validation():
