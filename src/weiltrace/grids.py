@@ -1,14 +1,11 @@
-"""The one trapezoid rule with its error estimate, and a C-infinity step.
+"""The trapezoid rule with its half-grid estimate, and a C-infinity step.
 
-All integrals over the multiplicative half-line use the Haar measure
-d×x = dx/x, which becomes Lebesgue measure du under u = ln x.  For smooth
-integrands that decay rapidly at both window ends the uniform trapezoid
-rule converges faster than any power of the spacing, so it is the default
-everywhere.  Every integral that carries an error estimate goes through
-one primitive, ``trapezoid_with_coarse``: on a grid with an odd number of
-points it returns the trapezoid value together with the trapezoid over
-every other sample of the same array, so the estimate costs no second
-evaluation of the integrand.
+The integrals with no closed form (the archimedean principal value and
+the commutator traces) run on a uniform grid in u = ln x, where the Haar
+measure dx/x is du; the trapezoid rule converges faster than any power
+of the spacing on smooth integrands that decay at both window ends.
+``trapezoid_with_coarse`` also returns the trapezoid over every other
+sample, an error estimate that costs no second evaluation.
 """
 
 from __future__ import annotations

@@ -1,15 +1,13 @@
-"""Fourier and Mellin transforms for the test-function families.
+"""Fourier and Mellin transforms of the test-function families, and the
+pairings of Weil's archimedean distribution with them, in closed form.
 
-The Fourier transform uses the convention
-    (F f)(y) = integral f(x) exp(2 pi i x y) dx,
-under which F is an involution on even functions and F^2 = -id on odd
-ones.  On the Gaussian-polynomial family the transform is computed
-symbolically (term by term, via the Hermite-style derivative recurrence),
-so it is exact up to arithmetic rounding.
-
-The Mellin transform uses the multiplicative-Haar normalisation
-    (M f)(s) = integral_0^inf f(x) x^s dx/x;
-``mellin`` is each family's closed form with its stated rounding bound.
+The Fourier transform (F f)(y) = integral f(x) exp(2 pi i x y) dx is an
+involution on even functions and F^2 = -id on odd ones; on the
+Gaussian-polynomial family it is computed term by term by the
+Hermite-style derivative recurrence.  The Mellin transform uses the
+multiplicative-Haar normalisation (M f)(s) = integral_0^inf f(x) x^s dx/x.
+The pairings come from Gamma and digamma at integers and half-integers;
+each value carries a bound on its rounding.
 """
 
 from __future__ import annotations
@@ -18,11 +16,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import WindowError
-from .families import ParityFunction, TestFunction
-from .grids import trapezoid, trapezoid_with_coarse
+from .families import ParityFunction, TestFunction, _U, _rounding
+from .special import EULER_GAMMA
 
 
 def fourier(f: ParityFunction) -> ParityFunction:
@@ -68,51 +64,56 @@ def mellin(f: TestFunction | ParityFunction, s: complex) -> MellinValue:
     return MellinValue(s=s, value=value, est_error=f.mellin_rounding(s))
 
 
-def _folded_log_grid(g, x_max: float, n_points: int = 4001):
-    """(v, x, h, g(x) + g(-x)) on x = e^v, v in [-35, ln x_max], n_points
-    points of step h: an integral over R folded to (0, inf), with x = 0
-    (where dx/|x| and ln|x| are singular) off the grid.  For g negligible
-    by |x| = x_max the integrands vanish at both ends, so plain
-    trapezoid is spectrally accurate."""
-    v, h = np.linspace(-35.0, math.log(x_max), n_points, retstep=True)
-    x = np.exp(v)
-    return v, x, h, (np.asarray(g(x), dtype=complex)
-                     + np.asarray(g(-x), dtype=complex))
+def _even_terms(psi) -> tuple:
+    """psi's terms, none for an odd psi: both pairings below vanish."""
+    if any(complex(c).imag for c, _, _ in psi.terms):
+        raise ValueError(f"psi must have real coefficients, got {psi!r}")
+    return psi.terms if psi.parity == 1 else ()
 
 
-def haar_real_cross(psi) -> float:
-    """integral_{R^x} psi(x) d^x x with Haar measure normalised so that
-    it restricts to dx/x on the positive half-line for even psi; i.e.
-    (1/2) integral_R psi(x) dx/|x|, over |x| <= 200.  Requires
-    psi(0) = 0 for convergence.
+def haar_real_cross(psi) -> tuple[float, float]:
+    """(1/2) reg integral_R psi(y) dy/|y| = (1/2) integral_R (psi(y) -
+    psi(0) 1_{|y|<1}) dy/|y|, the Haar integral over R^x in its finite
+    part, as (value, est_error): c y^k e^{-a pi y^2} gives (c/2)
+    Gamma(k/2) (a pi)^{-k/2} for k > 0 and -(c/2)(gamma + ln a pi) for
+    k = 0 (Frullani); est_error bounds the rounding (standard model)."""
+    parts = []
+    for c, k, a in _even_terms(psi):
+        api = a * math.pi
+        if k:
+            v = 0.5 * c * math.factorial(k // 2 - 1) / api ** (k // 2)
+            parts.append((v, _rounding(k + 4, abs(v), 2)))
+        else:
+            log_api = math.log(api)
+            parts.append((-0.5 * c * (EULER_GAMMA + log_api), _rounding(
+                3 * EULER_GAMMA + 4 * abs(log_api) + 2, 0.5 * abs(c),
+                3 + abs(log_api))))
+    value = math.fsum(v for v, _ in parts)
+    return value, math.fsum(e for _, e in parts) + _U * abs(value)
+
+
+def pair_log_fourier(psi) -> tuple[float, float]:
+    """<F(ln|x|), psi> = integral ln|x| (F psi)(x) dx, as (value, est_error).
+
+    c x^{2n} e^{-b pi x^2} in F psi gives (c/2) Gamma(m) (b pi)^{-m}
+    [digamma(m) - ln b pi] at m = n + 1/2, with Gamma(m) = sqrt(pi)
+    prod_{j<=n} (j - 1/2) and digamma(m) = -gamma - 2 ln 2 + sum_{j<=n}
+    2/(2j - 1).  est_error bounds the rounding (standard model), fourier's
+    included: each path of its recurrence from a term of degree k rounds
+    at most 6k + 4 times, and the paths to one coefficient share its sign.
     """
-    _, _, h, folded = _folded_log_grid(psi, 200.0)
-    return float(trapezoid(0.5 * folded.real, h))
-
-
-def pair_log_fourier(psi, *, n_points: int = 4001) -> tuple[float, float]:
-    """Duality pairing <F(ln|x|), psi> = integral ln|x| (F psi)(x) dx.
-
-    Returns (value, est_error), where est_error is the change of the
-    value when the log-weight integral uses every other of its n_points
-    (odd) samples.
-
-    psi is a Gaussian-polynomial function, whose closed-form Fourier
-    transform is used (it is itself validated against quadrature in the
-    test suite), so only the log-weight integral is numerical.  The
-    archimedean term of the explicit formula is this pairing for
-    psi(y) = f(|1 - y|); the explicit module evaluates it in closed form
-    as its principal-value route.
-    """
-    if not isinstance(psi, ParityFunction):
-        raise TypeError("psi must be a ParityFunction")
-    if psi.parity == -1:
-        # Pairing of an even distribution with an odd function.
-        return 0.0, 0.0
-    x_max = math.sqrt(48.0 * max(a for _, _, a in psi.terms) / math.pi) + 4.0
-    v, x, h, folded = _folded_log_grid(fourier(psi), x_max, n_points)
-    val, coarse = trapezoid_with_coarse(v * x * folded, h)
-    if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
-        raise WindowError(f"pairing has imaginary residue {val.imag:.3e}")
-    return float(val.real), abs(float(val.real) - float(coarse.real))
-
+    parts = []
+    for term in _even_terms(psi):
+        for c, d, b in fourier(ParityFunction(1, (term,))).terms:
+            n, log_bpi = d // 2, math.log(b * math.pi)
+            steps = math.fsum(2.0 / (2 * j - 1) for j in range(1, n + 1))
+            gap = steps - EULER_GAMMA - 2.0 * math.log(2.0) - log_bpi
+            v = (0.5 * c.real * math.prod(j - 0.5 for j in range(1, n + 1))
+                 * math.sqrt(math.pi) * (b * math.pi) ** -(n + 0.5))
+            # c, Gamma, (b pi)^-m and the gap round relative to the value,
+            # digamma's sum and ln b pi relative to their own sizes
+            parts.append((v * gap, _rounding(
+                (6 * term[1] + 4 * n + 16) * abs(gap) + (n + 3) * (steps + 2)
+                + 2 * abs(log_bpi) + 3, abs(v), 8 * (1 + abs(gap)))))
+    value = math.fsum(v for v, _ in parts)
+    return value, math.fsum(e for _, e in parts) + _U * abs(value)

@@ -69,6 +69,10 @@ def test_criterion_02_fourier_involution():
 
 
 def test_criterion_03_functional_equation():
+    # the ratio xi(s) / xi(1 - s) cancels any constant factor in Gamma or
+    # zeta, so absolute anchors pin both, called through special when the
+    # test runs
+    from weiltrace import special
     start = time.perf_counter()
     rng = np.random.default_rng(3)
     worst = 0.0
@@ -76,9 +80,16 @@ def test_criterion_03_functional_equation():
         s = complex(rng.uniform(0.1, 0.9), rng.uniform(-50.0, 50.0))
         a, b = xi(s).xi, xi(1.0 - s).xi
         worst = max(worst, abs(a - b) / abs(a))
+    anchors = ((special.zeta, 2.0, math.pi ** 2 / 6),
+               (special.zeta, 0.0, -0.5), (special.zeta, -1.0, -1.0 / 12),
+               (special.gamma, 0.5, math.sqrt(math.pi)))
+    worst_anchor = max(abs(fn(s) - want) for fn, s, want in anchors)
     elapsed = time.perf_counter() - start
-    _line(3, "xi functional equation", worst < 1e-9 and elapsed < 5.0,
-          f"max relative residual {worst:.2e} (< 1e-9)", elapsed)
+    ok = worst < 1e-9 and worst_anchor < 1e-14 and elapsed < 5.0
+    _line(3, "xi functional equation", ok,
+          f"max relative residual {worst:.2e} (< 1e-9), zeta(2), zeta(0), "
+          f"zeta(-1) and Gamma(1/2) off by {worst_anchor:.2e} (< 1e-14)",
+          elapsed)
 
 
 def test_criterion_04_mobius_inversion():
@@ -187,37 +198,53 @@ def test_criterion_09_phi_identities():
 
 
 def test_criterion_10_fourier_log_constant():
+    # Weil's archimedean distribution: <F(ln|x|), psi> =
+    # -(1/2) reg integral psi(y) dy/|y| - (ln 2 pi + gamma) psi(0), each
+    # side in closed form with a stated rounding bound; psi(0) != 0 makes
+    # the constant count, looked up on explicit when the test runs.
+    from weiltrace import explicit
+    u = 2.0 ** -53
     start = time.perf_counter()
+    c_inf = explicit.archimedean_constant()
     psis = (
         ParityFunction(+1, ((1.0, 2, 1.0),)),
         ParityFunction(+1, ((1.0, 4, 2.0),)),
         ParityFunction(+1, ((1.0, 2, 1.0), (-0.5, 4, 0.8),)),
         ParityFunction(+1, ((1.0, 0, 1.0), (-1.0, 0, 2.0))),  # cancels at 0
         ParityFunction(+1, ((0.7, 2, 0.6), (0.3, 2, 1.4))),
+        gaussian_even(),
+        ParityFunction(+1, ((1.0, 0, 0.5), (-0.3, 2, 1.2))),
+        ParityFunction(+1, ((-0.8, 0, 2.0), (0.6, 4, 0.7), (0.2, 0, 1.3))),
     )
-    worst_dual = 0.0
+    # residual / (stated bound) of each identity, worst over psi; c_inf
+    # and the residual's own sums round by at most 10 u |c_inf psi(0)|
+    worst_dual = worst_const = 0.0
     for psi in psis:
-        assert abs(psi.at_zero()) == 0.0
-        worst_dual = max(worst_dual, abs(pair_log_fourier(psi)[0]
-                                         + haar_real_cross(psi)))
+        (pair, e_pair), (haar, e_haar) = (pair_log_fourier(psi),
+                                          haar_real_cross(psi))
+        psi0 = complex(psi.at_zero()).real
+        ratio = (abs(pair + haar + c_inf * psi0)
+                 / (e_pair + e_haar + 10 * u * abs(c_inf * psi0)))
+        if psi0:
+            worst_const = max(worst_const, ratio)
+        else:
+            worst_dual = max(worst_dual, ratio)
     # dilation covariance: pairing(psi(./t)) = pairing(psi) - ln t psi(0)
     worst_cov = 0.0
-    for psi in (psis[0], gaussian_even()):
-        base, _ = pair_log_fourier(psi)
+    for psi in (psis[0], gaussian_even(), psis[7]):
+        base, e_base = pair_log_fourier(psi)
         for t in (0.5, 2.0):
-            got, _ = pair_log_fourier(psi.dilate(t))
-            want = base - math.log(t) * complex(psi.at_zero()).real
-            worst_cov = max(worst_cov, abs(got - want))
-    # grid independence of the pairing quadrature
-    psi = psis[2]
-    dual_grid = abs(pair_log_fourier(psi, n_points=4001)[0]
-                    - pair_log_fourier(psi, n_points=8001)[0])
+            got, e_got = pair_log_fourier(psi.dilate(t))
+            shift = math.log(t) * complex(psi.at_zero()).real
+            worst_cov = max(worst_cov, abs(got - (base - shift)) / (
+                e_got + e_base + 4 * u * (abs(shift) + abs(base - shift))))
     elapsed = time.perf_counter() - start
-    ok = (worst_dual < 1e-6 and worst_cov < 1e-6 and dual_grid < 1e-8
+    ok = (worst_dual <= 1.0 and worst_const <= 1.0 and worst_cov <= 1.0
           and elapsed < 10.0)
     _line(10, "Fourier-of-log pairing", ok,
-          f"duality {worst_dual:.2e} (< 1e-6), covariance {worst_cov:.2e} "
-          f"(< 1e-6), grid independence {dual_grid:.2e} (< 1e-8)", elapsed)
+          f"residual / stated bound: duality {worst_dual:.2f}, constant "
+          f"ln 2 pi + gamma {worst_const:.2f}, covariance {worst_cov:.2f} "
+          f"(<= 1)", elapsed)
 
 
 def test_criterion_11_dirichlet_layer():

@@ -342,6 +342,14 @@ def test_zspectral_residual_is_relative():
     assert zspectral_check(LogGaussian(1.0, 0.0, 5.0), 2.0) < 1e-14
 
 
+@pytest.mark.parametrize("f", [LogGaussian(1e-10, 0.0, 1.0),
+                               LogGaussian(1.0, 0.3, 1e-160)])
+def test_zspectral_residual_does_not_shrink_with_f(f):
+    # relative to zeta(s), so a tiny M f(s) leaves the residual at the
+    # size of zeta's error: zeta x (1 + 1e-3) fails this (test_mutants)
+    assert zspectral_check(f, 2.0) < 1e-8
+
+
 def test_apply_L_chi_parity_mismatch():
     chi = character(4, 1)           # odd character
     with pytest.raises(ParityMismatchError):
