@@ -2,13 +2,12 @@
 
 The central object is Z f(x) = sum_{n >= 1} f(n x), with inverse
 Z^{-1} f(x) = sum mu(n) f(n x), and the character-twisted version
-L_chi f(x) = sum chi(n) f(n x).  All truncations are certified: a sum
+L_chi f(x) = sum chi(n) f(n x).  Every truncation is certified: a sum
 is only reported when the neglected tail is provably below the
-requested tolerance, otherwise TailBoundError is raised.  z_image gives
-Z f on a whole array of arguments with one absolute cutoff: every
-argument sums f up to the point past which the tail at the smallest
-argument is certified, so every value stays within the tolerance and
-Z^{-1} Z f cancels term by term up to that point.
+requested tolerance, otherwise TailBoundError is raised.  The summand
+states that bound: a family, or z_image's Z f, which has one cutoff
+per call and a tail stated from f's, so Z^{-1} Z f cancels term by
+term.  A plain callable states none and is refused with TypeError.
 """
 
 from __future__ import annotations
@@ -16,14 +15,14 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import (NonPrimitiveCharacterError, ParityMismatchError,
                      TailBoundError)
-from .families import ParityFunction, TestFunction
+from .families import LogGaussian, ParityFunction, TestFunction, apply_J
 from .special import _dirichlet, _ragged_sum, zeta, zeta_tail
 from .transforms import fourier, mellin
 
@@ -244,52 +243,28 @@ def character(d: int, index: int) -> DirichletCharacter:
 
 def _term_cap(f, x: float, tr: TruncationSpec) -> int:
     """An N with a certified tail bound sum_{n > N} |f(n x)| below
-    tr.tail_tol (TailBoundError when no N <= n_max certifies).  A family
-    states its tail (lattice_start, lattice_tail): N is the first of the
-    doubling ladder from lattice_start(x) that certifies, not the least.
-    The least would halve Z^{-1} Z f's work, but with each tail just
-    under tail_tol its worst error on the lattice benchmark's inputs
-    (seed 1) rose from 6.4e-15 to 1.5e-12 (residual digits 11.83)."""
+    tr.tail_tol (TailBoundError when no N <= n_max certifies).  f states
+    its tail (lattice_start, lattice_tail): a family, or a Z-image, by
+    a k / N divisor bound from past N_inner + 1 (z_image says why).
+    Anything else raises TypeError: no samples bound a sum's rest.  N is
+    the first of the doubling ladder from lattice_start(x) that
+    certifies, not the least.  The least would halve Z^{-1} Z f's work,
+    but with each tail just under tail_tol its worst error on the
+    lattice benchmark's inputs (seed 1) rose from 6.4e-15 to 1.5e-12
+    (residual digits 11.83)."""
     if not (x > 0.0 and math.isfinite(x)):
         raise ValueError("x must be positive and finite")
-    if isinstance(f, (TestFunction, ParityFunction)):
-        n = f.lattice_start(x)
-        while n <= tr.n_max:
-            if f.lattice_tail(x, n + 1) < tr.tail_tol:
-                return n
-            n *= 2
-        raise TailBoundError(
-            f"cannot certify tail below {tr.tail_tol:.1e} with "
-            f"n_max = {tr.n_max}")
-    # Generic decaying summand (e.g. the image of a LogGaussian under Z):
-    # bound the tail by dyadic blocks, sum_{m > n} |g(m x)| <=
-    # sum_k n 2^k |g(2^k n x)| for decreasing |g|, probed until underflow.
-    # Every candidate n = 16 2^j probes points of the same dyadic ladder,
-    # so f is evaluated once, on the whole ladder.
-    starts = (tr.n_max // 16).bit_length()
-    n = 16.0 * 2.0 ** np.arange(starts + 59)
-    v = np.abs(np.asarray(f(n * x)))
-    block = n * v
-    for j in range(starts):
-        tail = _dyadic_tail_probe(v[j:j + 60], block[j:j + 60])
-        if tail is not None and tail < tr.tail_tol:
-            return int(n[j])
+    if not isinstance(f, (TestFunction, ParityFunction, _ZImage)):
+        raise TypeError(f"a lattice sum needs a family or a Z-image, which "
+                        f"state their tails, not {type(f)!r}")
+    n = f.lattice_start(x)
+    while n <= tr.n_max:
+        if f.lattice_tail(x, n + 1) < tr.tail_tol:
+            return n
+        n *= 2
     raise TailBoundError(
-        f"cannot certify generic tail below {tr.tail_tol:.1e} with "
+        f"cannot certify tail below {tr.tail_tol:.1e} with "
         f"n_max = {tr.n_max}")
-
-
-def _dyadic_tail_probe(v: np.ndarray, block: np.ndarray) -> float | None:
-    """Sum of the dyadic blocks n 2^k |f(2^k n x)| = block[k] up to the
-    first one below 1e-30, or None when |f| = v is not yet decreasing
-    there or no block underflows."""
-    below = np.flatnonzero(block < 1e-30)
-    if below.size == 0:
-        return None
-    stop = below[0] + 1
-    if np.any(v[1:stop] > v[:stop - 1]):
-        return None
-    return float(np.sum(block[:stop]))
 
 
 def _lattice_sum(f, x, tr: TruncationSpec, weight=None, counts=None):
@@ -322,39 +297,63 @@ def apply_Z_inverse(f, x, tr: TruncationSpec | None = None):
 
 
 def z_image(f, tr: TruncationSpec | None = None, *,
-            inverse: bool = False):
-    """Z f (or Z^{-1} f) as a vectorised callable, for composing the
-    lattice operators: every (index, argument) pair of a call is
-    evaluated in one call to f, so e.g. apply_Z_inverse(z_image(f), x)
-    runs at numpy speed instead of one lattice sum per argument.
+            inverse: bool = False) -> "_ZImage":
+    """Z f (or Z^{-1} f) as a vectorised callable: every (index,
+    argument) pair of a call is evaluated in one call to f, so e.g.
+    apply_Z_inverse(z_image(f), x) runs at numpy speed.
 
     One call has one absolute cutoff t_max = (N + 3/2) y_min, where
     N = _term_cap(f, y_min) certifies the tail at the smallest argument,
     and each argument y sums m = 1 .. floor(t_max / y).  Each value is
     still within tail_tol: the first omitted argument at y lies past
-    t_max, hence past (N + 1) y_min, the first one N omits, and a
-    family's lattice_tail does not grow with the first omitted argument
-    or with y (TestFunction.lattice_tail).  A common
-    cutoff also makes Z^{-1} Z f exact up to t_max: sum mu(n) Z f(n x)
-    over the image of one call covers every k with k x <= t_max, so the
-    truncation errors cancel instead of adding up.  The half step keeps
-    t_max off the lattice: at y = n y_min, t_max / y is at least 1/(2n)
-    from an integer, so rounding in floor(t_max / y) cannot drop the
-    lattice point k = N + 1 for some divisors n of k and keep it for
-    others (which left f((N + 1) x) in Z^{-1} Z f(x), 2e-13 for
-    criterion 4's second function at x = 5.11)."""
-    tr = tr or TruncationSpec()
+    (N + 1) y_min, the first one N omits, and a family's lattice_tail
+    does not grow with either.  A common cutoff also makes Z^{-1} Z f
+    exact up to t_max: sum mu(n) Z f(n x) over one call's image covers
+    every k with k x <= t_max, so the truncation errors cancel.  The
+    half step keeps t_max off the lattice, 1/(2n) from an integer at
+    y = n y_min, so rounding in floor(t_max / y) cannot keep k = N + 1
+    for some divisors n of k and drop it for others (that left 2e-13
+    in criterion 4 at x = 5.11).
 
-    def image(y):
+    The image states its own tail.  At most k / N divisors of k are
+    >= N, and |mu| <= 1, so sum_{n >= N} |Z^{+-1} f(n x)| is at most
+    sum_{k >= N} (k / N) |f(k x)| = g.lattice_tail(x, N) / (N x), for
+    g(t) = t f(t) = (J f)(1/t): a log-Gaussian when f is one, and any
+    other image refuses a sum with TypeError.  Its first rung is past
+    N_inner + 1, N_inner = _term_cap(f, x): a sum at x calls the image
+    once, with y_min = x, and so sums every n <= t_max / x and cancels
+    exactly.  From g's first rung alone it could stop at N_inner and
+    leave f((N_inner + 1) x) (3.7e-14 in criterion 4 at x = 6)."""
+    return _ZImage(f, tr or TruncationSpec(), inverse)
+
+
+@dataclass(frozen=True)
+class _ZImage:
+    """What z_image returns: Z f, or Z^{-1} f when inverse."""
+    f: object
+    tr: TruncationSpec
+    inverse: bool
+
+    def __call__(self, y):
         y = np.atleast_1d(np.asarray(y, dtype=float))
         y_min = float(y.min())
-        t_max = (_term_cap(f, y_min, tr) + 1.5) * y_min
+        t_max = (_term_cap(self.f, y_min, self.tr) + 1.5) * y_min
         counts = np.floor(t_max / y).astype(np.int64)
-        mu = mobius_up_to(int(counts.max())).__getitem__ if inverse else None
-        out = _lattice_sum(f, y, tr, mu, counts)
+        mu = mobius_up_to(int(counts.max())).__getitem__ \
+            if self.inverse else None
+        out = _lattice_sum(self.f, y, self.tr, mu, counts)
         return out if np.any(out.imag) else out.real
 
-    return image
+    def _weighted(self) -> LogGaussian:
+        j = apply_J(self.f)                   # t f(t) = (J f)(1/t)
+        return LogGaussian(j.amplitude, -j.center, j.width)
+
+    def lattice_start(self, x: float) -> int:
+        return max(_term_cap(self.f, x, self.tr) + 1,
+                   self._weighted().lattice_start(x))
+
+    def lattice_tail(self, x: float, n_from: int) -> float:
+        return self._weighted().lattice_tail(x, n_from) / (n_from * x)
 
 
 def apply_L_chi(chi: DirichletCharacter, f, x,
